@@ -1,19 +1,27 @@
 """D-base enumeration from an implicational base by solution-graph traversal.
 
 For a target element c, the D-generators of c are exactly the D-minimal keys
-of the reduced base (U_c, Sigma_c); the solution graph on them is traversed
+of the reduced base (U_c, Sigma_c).  The solution graph on them is traversed
 breadth-first, with transitions obtained by substituting a premise of Sigma_c
 into the binary closure of the current generator and re-minimizing greedily
 (the Min procedure).  The whole D-base enumeration overlays those graphs and
 restarts from a fresh Min(U_c) whenever a target's component is untouched,
 which yields every implication exactly once with polynomial delay.  The
 visited set may grow exponentially; ``max_states`` caps it.
+
+The traversal never materializes Sigma_c: every closure runs in the one
+context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
+:class:`_SolutionGraph`), and the transitions are read off Sigma directly.
+:func:`build_reduced_base` and :func:`reduced_context` remain as the
+paper-level construction that the tests check the traversal against; run
+through :func:`min_reduce` and :func:`neighbors`, they drive the same Min
+and transition code.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .closure import ClosureContext, binary_part, is_standard
 from .errors import (
@@ -29,22 +37,35 @@ from .model import ElementSet, Implication, ImplicationalBase, iter_bits
 ORDER_POLICIES = ("size-label", "natural")
 
 
+def _require_standard(ctx: ClosureContext) -> None:
+    std, witness = is_standard(ctx)
+    if not std:
+        raise NotStandard(
+            f"cl({ctx.ground.label(witness)}) minus itself is not closed"
+        )
+
+
+def _is_key(ctx: ClosureContext, bits: int, cover: int) -> bool:
+    # D-minimal key: cl(bits) covers ``cover`` and no element of bits can be
+    # dropped from cl^b(bits) without losing that.
+    if ctx.close_bits(bits) & cover != cover:
+        return False
+    clb = ctx.close_binary_bits(bits)
+    for a in iter_bits(bits):
+        if ctx.close_bits(clb & ~(1 << a)) & cover == cover:
+            return False
+    return True
+
+
 def is_d_generator(ctx: ClosureContext, aset: ElementSet, c: int) -> bool:
     """Test A in genD(c) with at most 2|U| closure calls.
 
     Characterization: c in cl(A) and, for every a in A, c not in
     cl(cl^b(A) minus a).
     """
-    bits = aset.bits
-    if bits >> c & 1:
+    if aset.bits >> c & 1:
         raise TargetInSet(f"target {ctx.ground.label(c)!r} belongs to the set")
-    if not ctx.close_bits(bits) >> c & 1:
-        return False
-    clb = ctx.close_binary_bits(bits)
-    for a in iter_bits(bits):
-        if ctx.close_bits(clb & ~(1 << a)) >> c & 1:
-            return False
-    return True
+    return _is_key(ctx, aset.bits, 1 << c)
 
 
 def restricted_universe(ctx: ClosureContext, c: int) -> ElementSet:
@@ -82,6 +103,21 @@ def element_order(ctx: ClosureContext, policy: str = "size-label") -> tuple[int,
     )
 
 
+def _reduced_pairs(
+    ib: ImplicationalBase, ctx: ClosureContext, ubits: int
+) -> Iterator[tuple[int, int]]:
+    # Sigma_c as (premise bits, conclusion) pairs, in the order of Sigma.
+    for imp in ib:
+        pbits = imp.premise.bits
+        if pbits & ~ubits:
+            continue
+        if ubits >> imp.conclusion & 1:
+            yield pbits, imp.conclusion
+        else:
+            for b in iter_bits(ubits & ~ctx.close_binary_bits(pbits)):
+                yield pbits, b
+
+
 @dataclass(frozen=True)
 class ReducedBase:
     """The restriction (U_c, Sigma_c) used to enumerate genD(c)."""
@@ -106,24 +142,12 @@ def build_reduced_base(
     b in U_c minus cl^b(A).
     """
     ctx = ctx or ClosureContext.from_ib(ib)
-    std, witness = is_standard(ctx)
-    if not std:
-        raise NotStandard(f"cl({ib.ground.label(witness)}) minus itself is not closed")
+    _require_standard(ctx)
     if not has_d_generators(ctx, c):
         raise NoDGenerators(f"{ib.ground.label(c)!r} has no D-generators")
     universe = restricted_universe(ctx, c)
     ubits = universe.bits
-    pairs: list[tuple[int, int]] = []
-    for imp in ib:
-        pbits = imp.premise.bits
-        if pbits & ~ubits:
-            continue
-        if ubits >> imp.conclusion & 1:
-            pairs.append((pbits, imp.conclusion))
-        else:
-            for b in iter_bits(ubits & ~ctx.close_binary_bits(pbits)):
-                pairs.append((pbits, b))
-    base = ImplicationalBase.build(ib.ground, pairs)
+    base = ImplicationalBase.build(ib.ground, _reduced_pairs(ib, ctx, ubits))
     ordering = tuple(a for a in element_order(ctx, order) if ubits >> a & 1)
     return ReducedBase(target=c, universe=universe, base=base, ordering=ordering)
 
@@ -134,67 +158,117 @@ def reduced_context(rb: ReducedBase) -> ClosureContext:
     return ClosureContext.from_ib(rb.base)
 
 
-def _extreme_in_binary(ctx_c: ClosureContext, bits: int, x: int) -> bool:
-    # x is cl^b-extreme in the cl^b-closed set iff no other member's
-    # singleton closure contains it.
-    return ctx_c.containers(x) & bits == 1 << x
+class _SolutionGraph:
+    """One target's solution graph: Min, candidate windows and a Min memo.
 
+    A set X inside U_c spans when cl(X) covers ``cover``.  Run on the input's
+    own context, ``cover`` is {c}; run on the context of (U_c, Sigma_c), it
+    is U_c.  The two readings agree, so the traversal never builds Sigma_c.
 
-def _min_reduce_bits(rb: ReducedBase, ctx_c: ClosureContext, fbits: int) -> int:
-    """Greedy Min on a cl_c^b-closed generator; returns D-generator bits.
+    Let c admit D-generators, i.e. c in cl(U_c), and write cl_c for the
+    closure of Sigma_c.  Facts, for X inside U_c:
 
-    An element that once fails the removability test stays unremovable
-    (closures only shrink as the set does), so each element is closure-tested
-    at most once: at most 2|U| closure calls per reduction.
-    """
-    ubits = rb.universe.bits
-    cur = fbits
-    dead = 0
-    while True:
-        for x in rb.ordering:
-            bx = 1 << x
-            if not cur & bx or dead & bx:
-                continue
-            if ctx_c.containers(x) & cur != bx:
-                continue  # not extreme in the current set; may become so
-            if ctx_c.close_bits(cur & ~bx) == ubits:
-                cur &= ~bx
-                break
-            dead |= bx
-        else:
-            break
-    kernel = 0
-    for x in iter_bits(cur):
-        if _extreme_in_binary(ctx_c, cur, x):
-            kernel |= 1 << x
-    return kernel
+    1. cl(a) lies in U_c for every a in U_c: for x in cl(a), cl(x) lies in
+       cl(a), which avoids c.  So U_c is closed under cl^b.
+    2. Sigma_2 has no binary implication: a premise {a} inside U_c forces
+       only elements of cl(a), which lie in U_c by 1, so no A -> d with
+       |A| = 1 leaves U_c.  Hence the non-binary part of Sigma_c, read off
+       Sigma, is every A -> d inside U_c with |A| != 1 plus every
+       expansion A -> b of an A -> d that leaves U_c.
+    3. If c is not in cl(X), then cl_c(X) = cl(X).  Any d in cl(X) outside
+       U_c has c in cl(d), inside cl(X); so cl(X) lies in U_c.  Chaining X
+       under Sigma then only fires implications of Sigma_1, so cl(X) lies
+       in cl_c(X).  Conversely cl(X) is Sigma_c-closed: it respects
+       Sigma_1, which is valid, and holds no premise of Sigma_2, whose
+       source A -> d would put d, outside U_c, into cl(X); so cl_c(X) lies
+       in cl(X).  In particular cl_c(a) = cl(a) for a in U_c, so
+       cl_c^b = cl^b on subsets of U_c, and ``containers`` agree there.
+    4. Key equivalence: cl_c(X) = U_c iff c in cl(X).  If c is not in
+       cl(X) but cl_c(X) = U_c, then by 3 cl(X) = U_c and c in cl(U_c) =
+       cl(X), a contradiction.  If c is in cl(X), chain X under Sigma and
+       stop at the first firing A -> d with d outside U_c (one exists, c
+       being outside U_c).  Everything derived before it came from Sigma_1,
+       so A lies in Y = cl_c(X), which lies in U_c as every conclusion of
+       Sigma_c does.  Y contains cl^b(A) (by 3, as cl_c^b) and, through
+       Sigma_2, every b in U_c minus cl^b(A); so Y = U_c.
 
-
-class _TargetEngine:
-    """Transition machinery for one target: grouped windows plus a Min memo.
-
-    Candidate windows obey cl^b(X union Y) = cl^b(X) | cl^b(Y), so each
-    non-binary implication contributes one OR against a per-conclusion base;
-    duplicates collapse before any Min work, and Min results are memoized by
-    window across the whole traversal.
+    By 1 and 3 the windows and Min's extremality tests are the same in both
+    contexts, and by 2 the transitions come straight from Sigma.  Windows
+    obey cl^b(X union Y) = cl^b(X) | cl^b(Y), so each one is a single OR
+    against a per-conclusion base; duplicates collapse before any Min work,
+    and Min results are memoized by window across the whole traversal.
     """
 
-    __slots__ = ("rb", "ctx", "ubits", "transitions", "memo")
+    __slots__ = ("ctx", "universe", "cover", "ordering", "transitions", "memo")
 
-    def __init__(self, rb: ReducedBase, ctx_c: ClosureContext):
-        self.rb = rb
-        self.ctx = ctx_c
-        self.ubits = rb.universe.bits
+    def __init__(
+        self,
+        ctx: ClosureContext,
+        universe: int,
+        cover: int,
+        ordering: tuple[int, ...],
+        pairs: Iterable[tuple[int, int]],
+    ):
+        self.ctx = ctx
+        self.universe = universe
+        self.cover = cover
+        self.ordering = ordering
         groups: dict[int, set[int]] = {}
-        for imp in rb.base:
-            if not imp.is_binary:
-                groups.setdefault(imp.conclusion, set()).add(
-                    ctx_c.close_binary_bits(imp.premise.bits)
-                )
+        for pbits, d in pairs:
+            if pbits.bit_count() != 1:
+                groups.setdefault(d, set()).add(ctx.close_binary_bits(pbits))
         self.transitions = [
-            (ctx_c.singleton_closure(d), tuple(clbs)) for d, clbs in groups.items()
+            (ctx.singleton_closure(d), tuple(clbs)) for d, clbs in groups.items()
         ]
         self.memo: dict[int, int | None] = {}
+
+    @classmethod
+    def of_target(cls, ctx: ClosureContext, c: int, order: str) -> "_SolutionGraph":
+        """The graph of genD(c), run on the input's own context."""
+        ubits = restricted_universe(ctx, c).bits
+        ordering = tuple(a for a in element_order(ctx, order) if ubits >> a & 1)
+        return cls(ctx, ubits, 1 << c, ordering, _reduced_pairs(ctx.source, ctx, ubits))
+
+    @classmethod
+    def of_reduced(cls, rb: ReducedBase, ctx_c: ClosureContext) -> "_SolutionGraph":
+        """The same graph, run on the context of (U_c, Sigma_c)."""
+        ubits = rb.universe.bits
+        pairs = ((imp.premise.bits, imp.conclusion) for imp in rb.base)
+        return cls(ctx_c, ubits, ubits, rb.ordering, pairs)
+
+    def spans(self, bits: int) -> bool:
+        return self.ctx.close_bits(bits) & self.cover == self.cover
+
+    def min_reduce(self, fbits: int) -> int:
+        """Greedy Min on a cl^b-closed spanning set; returns D-generator bits.
+
+        An element that once fails the removability test stays unremovable
+        (closures only shrink as the set does), so each element is
+        closure-tested at most once: at most 2|U| closure calls per reduction.
+        """
+        ctx = self.ctx
+        close, cover = ctx.close_bits, self.cover
+        cur = fbits
+        dead = 0
+        while True:
+            for x in self.ordering:
+                bx = 1 << x
+                if not cur & bx or dead & bx:
+                    continue
+                if ctx.containers(x) & cur != bx:
+                    continue  # not extreme in the current set; may become so
+                if close(cur & ~bx) & cover == cover:
+                    cur &= ~bx
+                    break
+                dead |= bx
+            else:
+                break
+        # The kernel: members that no other member's singleton closure holds.
+        kernel = 0
+        for x in iter_bits(cur):
+            if ctx.containers(x) & cur == 1 << x:
+                kernel |= 1 << x
+        return kernel
 
     def neighbor_bits(self, abits: int) -> set[int]:
         ctx = self.ctx
@@ -210,10 +284,7 @@ class _TargetEngine:
             if window in memo:
                 reduced = memo[window]
             else:
-                if ctx.close_bits(window) == self.ubits:
-                    reduced = _min_reduce_bits(self.rb, ctx, window)
-                else:
-                    reduced = None
+                reduced = self.min_reduce(window) if self.spans(window) else None
                 memo[window] = reduced
             if reduced is not None:
                 out.add(reduced)
@@ -230,31 +301,20 @@ def min_reduce(rb: ReducedBase, ctx_c: ClosureContext, fset: ElementSet) -> Elem
         raise NotSpanning(f"{fset!r} is not closed under the reduced binary part")
     if ctx_c.close_bits(fbits) != rb.universe.bits:
         raise NotSpanning(f"{fset!r} does not generate the restricted universe")
-    return ElementSet(rb.base.ground, _min_reduce_bits(rb, ctx_c, fbits))
-
-
-def _is_reduced_d_key(rb: ReducedBase, ctx_c: ClosureContext, bits: int) -> bool:
-    # D-minimal key test inside (U_c, Sigma_c); mirrors is_d_generator with
-    # "c in cl(.)" replaced by "cl_c(.) = U_c".
-    ubits = rb.universe.bits
-    if ctx_c.close_bits(bits) != ubits:
-        return False
-    clb = ctx_c.close_binary_bits(bits)
-    for a in iter_bits(bits):
-        if ctx_c.close_bits(clb & ~(1 << a)) == ubits:
-            return False
-    return True
+    graph = _SolutionGraph.of_reduced(rb, ctx_c)
+    return ElementSet(rb.base.ground, graph.min_reduce(fbits))
 
 
 def neighbors(rb: ReducedBase, ctx_c: ClosureContext, aset: ElementSet) -> list[ElementSet]:
     """Transition function N(A): one Min-reduced candidate per non-binary
     implication B -> d of Sigma_c, from cl_c^b((cl_c^b(A) minus cl_c^b(d))
     union B); deduplicated."""
-    if not _is_reduced_d_key(rb, ctx_c, aset.bits):
+    ubits = rb.universe.bits
+    if aset.bits & ~ubits or not _is_key(ctx_c, aset.bits, ubits):
         raise NotDGenerator(f"{aset!r} is not a D-generator of the target")
+    graph = _SolutionGraph.of_reduced(rb, ctx_c)
     ground = rb.base.ground
-    engine = _TargetEngine(rb, ctx_c)
-    return [ElementSet(ground, b) for b in sorted(engine.neighbor_bits(aset.bits))]
+    return [ElementSet(ground, b) for b in sorted(graph.neighbor_bits(aset.bits))]
 
 
 def enumerate_d_generators(
@@ -262,20 +322,17 @@ def enumerate_d_generators(
 ) -> Iterator[ElementSet]:
     """All D-generators of c, each exactly once (BFS over the solution graph)."""
     ctx = ClosureContext.from_ib(ib)
-    std, witness = is_standard(ctx)
-    if not std:
-        raise NotStandard(f"cl({ib.ground.label(witness)}) minus itself is not closed")
+    _require_standard(ctx)
     if not has_d_generators(ctx, c):
         return
-    rb = build_reduced_base(ib, c, order=order, ctx=ctx)
-    engine = _TargetEngine(rb, reduced_context(rb))
-    start = _min_reduce_bits(rb, engine.ctx, rb.universe.bits)
+    graph = _SolutionGraph.of_target(ctx, c, order)
+    start = graph.min_reduce(graph.universe)
     visited = {start}
     queue = deque([start])
     while queue:
         bits = queue.popleft()
         yield ElementSet(ib.ground, bits)
-        for nxt in engine.neighbor_bits(bits):
+        for nxt in graph.neighbor_bits(bits):
             if nxt not in visited:
                 visited.add(nxt)
                 queue.append(nxt)
@@ -287,24 +344,29 @@ class _DBaseRun:
     def __init__(self, ib: ImplicationalBase, order: str, max_states: int | None):
         self.ib = ib
         self.ctx = ClosureContext.from_ib(ib)
-        std, witness = is_standard(self.ctx)
-        if not std:
-            raise NotStandard(
-                f"cl({ib.ground.label(witness)}) minus itself is not closed"
-            )
+        _require_standard(self.ctx)
         self.order = order
         self.max_states = max_states
         self.pending = [
             c for c in range(len(ib.ground)) if has_d_generators(self.ctx, c)
         ]
         self.pending_set = set(self.pending)
-        self.engines: dict[int, _TargetEngine] = {}
+        self.graphs: dict[int, _SolutionGraph] = {}
+        self.visited: set[int] = set()
 
-    def engine_for(self, c: int) -> _TargetEngine:
-        if c not in self.engines:
-            rb = build_reduced_base(self.ib, c, order=self.order, ctx=self.ctx)
-            self.engines[c] = _TargetEngine(rb, reduced_context(rb))
-        return self.engines[c]
+    def graph_for(self, c: int) -> _SolutionGraph:
+        if c not in self.graphs:
+            self.graphs[c] = _SolutionGraph.of_target(self.ctx, c, self.order)
+        return self.graphs[c]
+
+    def admit(self, bits: int) -> bool:
+        """Add a state to the visited set; False if it was there already."""
+        if bits in self.visited:
+            return False
+        if self.max_states is not None and len(self.visited) >= self.max_states:
+            raise StateLimitExceeded(f"visited-set cap {self.max_states} reached")
+        self.visited.add(bits)
+        return True
 
     def targets_of(self, bits: int) -> list[int]:
         aset = ElementSet(self.ib.ground, bits)
@@ -320,18 +382,16 @@ class _DBaseRun:
         for imp in binary_part(self.ctx):
             yield imp
         done: set[int] = set()
-        visited: set[int] = set()
         for c in self.pending:
             if c in done:
                 continue
-            engine = self.engine_for(c)
-            start = _min_reduce_bits(engine.rb, engine.ctx, engine.ubits)
-            if start in visited:
+            graph = self.graph_for(c)
+            start = graph.min_reduce(graph.universe)
+            if not self.admit(start):
                 # The component holding genD(c) was fully explored already.
                 done.add(c)
                 continue
             queue = deque([start])
-            visited.add(start)
             while queue:
                 bits = queue.popleft()
                 targets = self.targets_of(bits)
@@ -340,16 +400,8 @@ class _DBaseRun:
                     done.add(t)
                     yield Implication(aset, t)
                 for t in targets:
-                    for nxt in self.engine_for(t).neighbor_bits(bits):
-                        if nxt not in visited:
-                            if (
-                                self.max_states is not None
-                                and len(visited) >= self.max_states
-                            ):
-                                raise StateLimitExceeded(
-                                    f"visited-set cap {self.max_states} reached"
-                                )
-                            visited.add(nxt)
+                    for nxt in self.graph_for(t).neighbor_bits(bits):
+                        if self.admit(nxt):
                             queue.append(nxt)
 
 

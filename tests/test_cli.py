@@ -61,6 +61,12 @@ class TestDBase:
         assert code == 0
         assert len(out.strip().splitlines()) == 14
 
+    def test_max_states_zero_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "one.ib"
+        path.write_text("ground: 1 2 3\n1 2 -> 3\n")
+        code, _ = run_main(capsys, "dbase", str(path), "--max-states", "0")
+        assert code == 1
+
     def test_both_routes_agree_canonicalized(self, capsys, tmp_path, ex2_file):
         _, from_ib = run_main(capsys, "dbase", ex2_file, "--from", "ib")
         mi_path = tmp_path / "ex1.mi"

@@ -4,17 +4,25 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import dbase.traversal
 from dbase import (
     BruteForce,
     ClosureContext,
     ElementSet,
+    GroundSet,
+    ImplicationalBase,
     build_reduced_base,
     d_base,
     enumerate_d_generators,
     has_d_generators,
     is_d_generator,
+    is_standard,
     iter_d_base,
+    iter_d_base_from_mi,
+    meet_irreducibles,
     min_reduce,
     neighbors,
     parse_ib,
@@ -29,6 +37,7 @@ from dbase.errors import (
     StateLimitExceeded,
     TargetInSet,
 )
+from dbase.gadgets import gen_acyclic_instance, gen_lower_bounded_instance, random_cnf
 from dbase.model import iter_bits
 
 from conftest import (
@@ -165,6 +174,48 @@ class TestBuildReducedBase:
         ib = parse_ib("ground: a b c\na -> b\nb -> a\na b -> c\n")
         with pytest.raises(NotStandard):
             build_reduced_base(ib, 2)
+
+
+@st.composite
+def standard_ibs(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    ground = GroundSet([str(i + 1) for i in range(n)])
+    pairs = [
+        (
+            draw(st.integers(min_value=1, max_value=(1 << n) - 1)),
+            draw(st.integers(min_value=0, max_value=n - 1)),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=10)))
+    ]
+    ib = ImplicationalBase.build(ground, pairs)
+    assume(is_standard(ClosureContext.from_ib(ib))[0])
+    return ib
+
+
+@given(standard_ibs())
+@settings(max_examples=150, deadline=None)
+def test_key_equivalence_property(ib):
+    # For S inside U_c: cl_c(S) = U_c iff c in cl(S); cl_c and cl agree on
+    # singletons of U_c; and every binary implication of Sigma_c is in Sigma.
+    ctx = ClosureContext.from_ib(ib)
+    sigma = {(i.premise.bits, i.conclusion) for i in ib}
+    for c in range(len(ib.ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        rb = build_reduced_base(ib, c, ctx=ctx)
+        ctx_c = reduced_context(rb)
+        ubits = rb.universe.bits
+        for a in iter_bits(ubits):
+            assert ctx_c.singleton_closure(a) == ctx.singleton_closure(a)
+        for imp in rb.base:
+            if imp.is_binary:
+                assert (imp.premise.bits, imp.conclusion) in sigma
+        subs = list(iter_bits(ubits))
+        for pick in range(1 << len(subs)):
+            sbits = sum(1 << subs[i] for i in range(len(subs)) if pick >> i & 1)
+            assert (ctx_c.close_bits(sbits) == ubits) == bool(
+                ctx.close_bits(sbits) >> c & 1
+            )
 
 
 class TestMinReduce:
@@ -360,6 +411,45 @@ class TestDBase:
     def test_state_limit(self, ex9_ib):
         with pytest.raises(StateLimitExceeded):
             list(iter_d_base(ex9_ib, max_states=2))
+
+    def test_state_limit_counts_start_states(self):
+        ib = parse_ib("ground: 1 2 3\n1 2 -> 3\n")
+        with pytest.raises(StateLimitExceeded):
+            list(iter_d_base(ib, max_states=0))
+        assert [i.format() for i in iter_d_base(ib, max_states=1)] == ["1 2 -> 3"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("order", ["size-label", "natural"])
+    def test_gadgets_match_mi_route(self, seed, order):
+        cnf = random_cnf(random.Random(seed), 6, 5)
+        for gen in (gen_lower_bounded_instance, gen_acyclic_instance):
+            ib, _, _ = gen(cnf)
+            n = len(ib.ground)
+            mi = meet_irreducibles(ClosureContext.from_ib(ib), max_ground=n)
+            stream = DuplicateDetector(
+                iter_d_base(ib, order=order), key=lambda i: (i.premise.bits, i.conclusion)
+            )
+            got = ImplicationalBase(ib.ground, list(stream)).canonicalize()
+            want = ImplicationalBase(ib.ground, list(iter_d_base_from_mi(mi)))
+            assert got == want.canonicalize()
+
+    def test_one_context_and_one_standardness_check_per_run(self, ex9_ib, monkeypatch):
+        counts = {"ctx": 0, "standard": 0}
+        init, check = ClosureContext.__init__, dbase.traversal.is_standard
+
+        def counting_init(self, source):
+            counts["ctx"] += 1
+            init(self, source)
+
+        def counting_check(ctx):
+            counts["standard"] += 1
+            return check(ctx)
+
+        monkeypatch.setattr(ClosureContext, "__init__", counting_init)
+        monkeypatch.setattr(dbase.traversal, "is_standard", counting_check)
+        rows = list(iter_d_base(ex9_ib))
+        assert len(rows) > len(ex9_ib.ground)
+        assert counts == {"ctx": 1, "standard": 1}
 
 
 class TestStrongConnectivity:
