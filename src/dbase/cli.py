@@ -178,14 +178,14 @@ def _cmd_verify_sat(args) -> int:
         failures = 0
         for i in range(args.random):
             cnf = random_cnf(rng, rng.randint(3, args.vars), rng.randint(1, args.clauses))
-            report = verify_reduction(cnf, which)
+            report = verify_reduction(cnf, which, max_ground=args.max_oracle)
             if not report.ok:
                 failures += 1
                 _print(f"FAIL on instance {i}:\n{serialize_cnf(cnf)}")
         _print(f"{args.random - failures}/{args.random} random instances ok", args.quiet)
         return 0 if failures == 0 else 1
     cnf = parse_cnf(_read(args.file))
-    report = verify_reduction(cnf, which)
+    report = verify_reduction(cnf, which, max_ground=args.max_oracle)
     _print(f"reduction: {report.reduction}")
     _print(f"target_D_source: {str(report.d_holds).lower()}")
     _print(f"one_in_three_assignment_exists: {str(report.assignment_exists).lower()}")

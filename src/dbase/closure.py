@@ -8,8 +8,6 @@ Singleton closures are cached eagerly, so ``close_binary`` never re-chains.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import NotSpanning
 from .model import ElementSet, ImplicationalBase, SetFamily, iter_bits
 
@@ -28,7 +26,6 @@ class ClosureContext:
         "ground",
         "source",
         "mode",
-        "_premises",
         "_concls",
         "_sizes",
         "_watch",
@@ -44,7 +41,7 @@ class ClosureContext:
             self._init_ib(source)
         elif isinstance(source, SetFamily):
             self.mode = _MI
-            self._init_mi(source)
+            self._mi_masks = tuple(source.bit_list())
         else:
             raise TypeError("source must be an ImplicationalBase or a SetFamily")
         self.ground = source.ground
@@ -67,7 +64,6 @@ class ClosureContext:
 
     def _init_ib(self, ib: ImplicationalBase) -> None:
         n = len(ib.ground)
-        premises: list[int] = []
         concls: list[int] = []
         sizes: list[int] = []
         watch: list[list[int]] = [[] for _ in range(n)]
@@ -77,26 +73,15 @@ class ClosureContext:
             if pbits == 0:
                 seed |= 1 << imp.conclusion
                 continue
-            j = len(premises)
-            premises.append(pbits)
+            j = len(concls)
             concls.append(imp.conclusion)
             sizes.append(pbits.bit_count())
             for e in iter_bits(pbits):
                 watch[e].append(j)
-        self._premises = premises
         self._concls = concls
         self._sizes = sizes
         self._watch = [tuple(w) for w in watch]
         self._seed_bits = seed
-        self._mi_masks = ()
-
-    def _init_mi(self, family: SetFamily) -> None:
-        self._mi_masks = tuple(family.bit_list())
-        self._premises = []
-        self._concls = []
-        self._sizes = []
-        self._watch = []
-        self._seed_bits = 0
 
     def close_bits(self, bits: int) -> int:
         """cl of a raw bitmask."""
@@ -150,9 +135,6 @@ class ClosureContext:
         """Bitmask of the elements y with x in cl(y) (includes x itself)."""
         return self._containers[x]
 
-    def is_closed_bits(self, bits: int) -> bool:
-        return self.close_bits(bits) == bits
-
     @property
     def full_mask(self) -> int:
         return self.ground.full_mask
@@ -205,23 +187,3 @@ def min_spanning_set(ctx: ClosureContext, fset: ElementSet) -> ElementSet:
         raise NotSpanning(f"extreme elements of {fset!r} do not span its closure")
     return kernel
 
-
-def closure_rounds(ctx: ClosureContext, aset: ElementSet) -> Iterator[ElementSet]:
-    """The chain A = C0, C1, ... up to cl(A): one round of firing per step.
-
-    Only defined for implication-sourced contexts; this is the reference
-    semantics the counting chaining in ``close`` must agree with.
-    """
-    if ctx.mode != _IB:
-        raise TypeError("closure_rounds requires an implication-sourced context")
-    cur = aset.bits | ctx._seed_bits
-    yield ElementSet(ctx.ground, cur)
-    while True:
-        nxt = cur
-        for pbits, c in zip(ctx._premises, ctx._concls):
-            if pbits & ~cur == 0:
-                nxt |= 1 << c
-        if nxt == cur:
-            return
-        cur = nxt
-        yield ElementSet(ctx.ground, cur)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from .closure import ClosureContext, binary_part, is_standard, min_spanning_set
 from .errors import (
     MalformedGadget,
-    NonBinaryImplication,
     NotAntichain,
     NotClosed,
     NotStandard,
@@ -34,12 +33,6 @@ from .model import (
 def up_antichain(mi: SetFamily, c: int) -> SetFamily:
     """The antichain {M in Mi | c up-arrow M} (maximal members omitting c)."""
     return up_arrow(mi, c)
-
-
-def _check_binary(binary_ib: ImplicationalBase) -> None:
-    for imp in binary_ib:
-        if not imp.is_binary:
-            raise NonBinaryImplication(f"non-binary implication {imp!r}")
 
 
 def _check_antichain_of_closed(ctx: ClosureContext, b_plus: SetFamily) -> list[int]:
@@ -74,7 +67,7 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
 def dualize_distributive(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:
     """The unique antichain dual to ``b_plus`` in the distributive lattice of
     ``binary_ib``: the minimal closed sets contained in no member of B+."""
-    _check_binary(binary_ib)
+    binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
     uppers = _check_antichain_of_closed(ctx, b_plus)
     full = ctx.full_mask
@@ -138,7 +131,7 @@ def iter_d_base_from_mi(mi: SetFamily):
 def embed_dualization(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:
     """Meet-irreducibles of the gadget system over U plus the fresh element:
     Mi(cs') = B+ union {M union {_d} | M in Mi(cs)}."""
-    _check_binary(binary_ib)
+    binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
     uppers = _check_antichain_of_closed(ctx, b_plus)
     mi = meet_irreducibles_distributive(binary_ib)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .closure import ClosureContext
-from .errors import GroundTooLarge, NonBinaryImplication
+from .errors import GroundTooLarge
 from .model import (
     ElementSet,
     ImplicationalBase,
@@ -95,9 +95,7 @@ def meet_irreducibles(
 def meet_irreducibles_distributive(binary_ib: ImplicationalBase) -> SetFamily:
     """Mi of a distributive system from a binary base, by the direct formula
     Mi(cs) = {{c | a not in cl(c)} | a in U}."""
-    for imp in binary_ib:
-        if not imp.is_binary:
-            raise NonBinaryImplication(f"non-binary implication {imp!r}")
+    binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
     n = len(binary_ib.ground)
     masks = []

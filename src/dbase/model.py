@@ -24,6 +24,7 @@ from .errors import (
     DuplicateGround,
     DuplicateSet,
     GroundTooLarge,
+    NonBinaryImplication,
     ParseError,
     UnknownElement,
 )
@@ -244,6 +245,12 @@ class ImplicationalBase:
 
     def nonbinary(self) -> list[Implication]:
         return [imp for imp in self.implications if not imp.is_binary]
+
+    def require_binary(self) -> None:
+        """Raise :class:`NonBinaryImplication` unless every premise is a singleton."""
+        wide = self.nonbinary()
+        if wide:
+            raise NonBinaryImplication(f"non-binary implication {wide[0]!r}")
 
     def canonicalize(self) -> "ImplicationalBase":
         return ImplicationalBase(

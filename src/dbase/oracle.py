@@ -1,27 +1,37 @@
-"""Exhaustive-scan reference implementations used as ground truth in tests.
+"""Exhaustive-scan reference implementations used as ground truth.
 
-Everything here enumerates all 2^|U| subsets (closure tables are vectorized
-with numpy, the scan itself is exhaustive) and exists solely to cross-check
-the real algorithms; nothing in the main code paths depends on this module.
+Everything here enumerates all 2^|U| subsets and exists solely to cross-check
+the real algorithms: the tests, the ``cdb``, ``oracle`` and ``verify-sat``
+commands and ``gadgets.verify_reduction`` use it, neither D-base route does.
+Closure tables are vectorized with numpy, imported only when a table is built
+or scanned, and read a context only through its public surface.
 """
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .closure import ClosureContext
-from .errors import GroundTooLarge, NonBinaryImplication
+from .errors import GroundTooLarge
 from .model import ElementSet, ImplicationalBase, Relation, SetFamily
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ORACLE_MAX_GROUND = 16
+# Hard ceiling whatever ``max_ground`` says: each of the three uint32 tables
+# holds 2^n entries (64 MB at 24), and masks above 32 bits do not fit.
+ORACLE_CEILING = 24
 
 
 class BruteForce:
     """Full closure tables over all subsets, with generator scans on top."""
 
     def __init__(self, ctx: ClosureContext, *, max_ground: int = ORACLE_MAX_GROUND):
+        import numpy as np
         n = len(ctx.ground)
-        if n > max_ground:
-            raise GroundTooLarge(f"{n} elements exceeds oracle maximum {max_ground}")
+        limit = min(max_ground, ORACLE_CEILING)
+        if n > limit:
+            raise GroundTooLarge(f"{n} elements exceeds oracle maximum {limit}")
         self.ctx = ctx
         self.n = n
         self.masks = np.arange(1 << n, dtype=np.uint32)
@@ -29,19 +39,19 @@ class BruteForce:
         self.clb = self._binary_closure_table()
 
     def _closure_table(self) -> np.ndarray:
-        ctx, masks = self.ctx, self.masks
-        if ctx.mode == "mi":
-            cl = np.full(len(masks), np.uint32(ctx.full_mask), dtype=np.uint32)
-            for m in ctx._mi_masks:
-                inside = (masks & np.uint32(~m & ctx.full_mask)) == 0
+        import numpy as np
+        source, masks, full = self.ctx.source, self.masks, self.ctx.full_mask
+        if isinstance(source, SetFamily):
+            cl = np.full(len(masks), np.uint32(full), dtype=np.uint32)
+            for m in source.bit_list():
+                inside = (masks & np.uint32(~m & full)) == 0
                 cl[inside] &= np.uint32(m)
             return cl
+        # An empty premise is the mask 0, which every row contains.
         cl = masks.copy()
-        if ctx._seed_bits:
-            cl |= np.uint32(ctx._seed_bits)
         imps = [
-            (np.uint32(p), np.uint32(1 << c))
-            for p, c in zip(ctx._premises, ctx._concls)
+            (np.uint32(imp.premise.bits), np.uint32(1 << imp.conclusion))
+            for imp in source
         ]
         changed = True
         while changed:
@@ -54,6 +64,7 @@ class BruteForce:
         return cl
 
     def _binary_closure_table(self) -> np.ndarray:
+        import numpy as np
         clb = np.zeros(len(self.masks), dtype=np.uint32)
         for a in range(self.n):
             abit = np.uint32(1 << a)
@@ -62,6 +73,7 @@ class BruteForce:
 
     def minimal_generator_masks(self, c: int) -> list[int]:
         """Non-trivial minimal generators of c by exhaustive scan."""
+        import numpy as np
         cbit = np.uint32(1 << c)
         cand = ((self.cl & cbit) != 0) & ((self.masks & cbit) == 0)
         idx = np.flatnonzero(cand).astype(np.uint32)
@@ -127,6 +139,7 @@ class BruteForce:
         return Relation(self.ctx.ground, arcs)
 
     def closed_masks(self) -> list[int]:
+        import numpy as np
         eq = np.flatnonzero(self.cl == self.masks)
         return [int(m) for m in eq]
 
@@ -168,9 +181,7 @@ def brute_dual(
     max_ground: int = ORACLE_MAX_GROUND,
 ) -> SetFamily:
     """Dual antichain by scanning every closed set of the binary system."""
-    for imp in binary_ib:
-        if not imp.is_binary:
-            raise NonBinaryImplication(f"non-binary implication {imp!r}")
+    binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
     brute = BruteForce(ctx, max_ground=max_ground)
     uppers = b_plus.bit_list()
@@ -182,3 +193,26 @@ def brute_dual(
         if not any(k & ~m == 0 for k in minimal):
             minimal.append(m)
     return SetFamily.from_bits(binary_ib.ground, minimal).canonicalize()
+
+
+def closure_rounds(ctx: ClosureContext, aset: ElementSet) -> Iterator[ElementSet]:
+    """The chain A = C0, C1, ... up to cl(A): one round of firing per step.
+
+    Only defined for implication-sourced contexts; this is the reference
+    semantics the counting chaining in ``ClosureContext.close`` must agree
+    with.  An empty premise fires in the first round.
+    """
+    source = ctx.source
+    if not isinstance(source, ImplicationalBase):
+        raise TypeError("closure_rounds requires an implication-sourced context")
+    cur = aset.bits
+    yield ElementSet(ctx.ground, cur)
+    while True:
+        nxt = cur
+        for imp in source:
+            if imp.premise.bits & ~cur == 0:
+                nxt |= 1 << imp.conclusion
+        if nxt == cur:
+            return
+        cur = nxt
+        yield ElementSet(ctx.ground, cur)

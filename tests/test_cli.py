@@ -165,6 +165,19 @@ class TestGenVerifySat:
         code, out = run_main(capsys, "verify-sat", str(cnf), "--reduction", "acg")
         assert code == 0 and "biconditional: true" in out
 
+    @pytest.mark.parametrize("reduction", ["lb", "acg"])
+    def test_verify_sat_honours_max_oracle(self, capsys, tmp_path, reduction):
+        # Both gadgets of this 9-variable formula exceed the default cap of 16.
+        cnf = tmp_path / "x.cnf"
+        cnf.write_text(
+            "vars: a b c d e f g h i\n"
+            "a b c\nc d e\ne f g\ng h i\na d g\nb e h\nc f i\n"
+        )
+        code, out = run_main(
+            capsys, "verify-sat", str(cnf), "--reduction", reduction, "--max-oracle", "18"
+        )
+        assert code == 0 and "biconditional: true" in out
+
     def test_verify_sat_random(self, capsys):
         code, out = run_main(
             capsys, "verify-sat", "--reduction", "lb", "--random", "5",
@@ -180,6 +193,13 @@ class TestExitCodes:
         code = main(["close", str(bad), "--set", "a"])
         captured = capsys.readouterr()
         assert code == 1 and "error" in captured.err
+
+    def test_oracle_ceiling_is_1(self, capsys, tmp_path):
+        big = tmp_path / "big.ib"
+        big.write_text("ground: " + " ".join(f"x{i}" for i in range(33)) + "\n")
+        code = main(["cdb", str(big), "--max-oracle", "64"])
+        captured = capsys.readouterr()
+        assert code == 1 and "33 elements exceeds oracle maximum 24" in captured.err
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,7 @@ from dbase import (
     parse_ib,
     parse_set_family,
 )
-from dbase.closure import closure_rounds
+from dbase.oracle import closure_rounds
 from dbase.errors import NotSpanning
 
 from conftest import random_ib

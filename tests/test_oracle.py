@@ -1,13 +1,21 @@
 """The exhaustive oracle itself, validated against the worked examples."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dbase
 from dbase import (
     BruteForce,
     ClosureContext,
+    GroundSet,
+    ImplicationalBase,
+    SetFamily,
     binary_part,
     brute_canonical_direct_base,
     brute_d_base,
@@ -144,3 +152,55 @@ def test_ground_cap():
     with pytest.raises(GroundTooLarge):
         BruteForce(ctx)
     BruteForce(ctx, max_ground=17)
+
+
+def test_ceiling_holds_whatever_max_ground_says():
+    # Checked before any table is allocated: 2^25 rows would be 128 MB a table.
+    labels = " ".join(f"x{i}" for i in range(25))
+    ctx = ClosureContext.from_ib(parse_ib(f"ground: {labels}\n"))
+    with pytest.raises(GroundTooLarge, match="25 elements exceeds oracle maximum 24"):
+        BruteForce(ctx, max_ground=64)
+
+
+def test_tables_match_the_context():
+    # The tables are built from ctx.source alone; they must agree with the
+    # context's own cl and cl^b on every subset, empty premises and |U| = 1
+    # included, for implicational and Mi sources alike.
+    rng = random.Random(67)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        ground = GroundSet(str(i + 1) for i in range(n))
+        pairs = [
+            (rng.getrandbits(n) & rng.getrandbits(n), rng.randrange(n))
+            for _ in range(rng.randint(0, 10))
+        ]
+        family = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
+        for source in (
+            ImplicationalBase.build(ground, pairs),
+            SetFamily.from_bits(ground, family),
+        ):
+            ctx = ClosureContext(source)
+            brute = BruteForce(ctx)
+            assert [int(m) for m in brute.cl] == [
+                ctx.close_bits(m) for m in range(1 << n)
+            ]
+            assert [int(m) for m in brute.clb] == [
+                ctx.close_binary_bits(m) for m in range(1 << n)
+            ]
+
+
+def test_numpy_loads_only_when_an_oracle_runs():
+    src = str(Path(dbase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "import dbase, dbase.cli, dbase.gadgets\n"
+        "print('numpy' in sys.modules)\n"
+        "from dbase import BruteForce, ClosureContext, parse_ib\n"
+        "BruteForce(ClosureContext.from_ib(parse_ib('ground: a b\\n')))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]
