@@ -2,20 +2,32 @@
 
 For each target c, the maximal meet-irreducibles omitting c form an antichain
 whose dual in the distributive lattice cs^b consists of cl^b(c) plus the
-cl^b-closures of the D-generators of c; mapping each of those closures back
-to its unique minimal spanning set yields genD(c).  The dualizer itself is an
-exact desk-scale routine: minimal hypergraph transversals of the complements
-(Berge multiplication with absorption), closed under cl^b and filtered to
-inclusion-minimal closures.  Both reduction directions are provided; the
-embedding gadget marks its fresh element with the reserved label ``_d``.
+cl^b-closures of the D-generators of c.  In cs^b the unique minimal spanning
+set of a closed set is its set of cl^b-minimal elements, so each D-generator
+is read straight off its closure.
+
+The dualizer is Berge multiplication carried out on the lattice: the
+minimal closed sets meeting every complement of B+ are grown one edge at a
+time, each transversal that misses the edge multiplied by the singleton
+closures cl^b(b) of the edge's elements.  cl^b is a union of singleton
+closures, so every product is closed and the family stays an antichain of
+closed sets; only the new products need absorbing.  One run of the Mi route
+builds the Mi context, checks standardness and takes the binary part once,
+then makes one dualization per element.  Both reduction directions are
+provided; the embedding gadget marks its fresh element with the reserved
+label ``_d``.
 """
 from __future__ import annotations
 
-from .closure import ClosureContext, binary_part, is_standard, min_spanning_set
+from .closure import ClosureContext, binary_part, is_standard
+# Unused here (spanning sets are read off cl^b directly), but perfbench's
+# traced run wraps ``dbase.dualization.min_spanning_set``.
+from .closure import min_spanning_set  # noqa: F401
 from .errors import (
     MalformedGadget,
     NotAntichain,
     NotClosed,
+    NotSpanning,
     NotStandard,
 )
 from .lattice import _minimal_masks, meet_irreducibles_distributive, up_arrow
@@ -49,19 +61,34 @@ def _check_antichain_of_closed(ctx: ClosureContext, b_plus: SetFamily) -> list[i
     return masks
 
 
-def _minimal_transversals(edges: list[int]) -> list[int]:
-    """Berge multiplication with absorption; edges and transversals are masks."""
-    transversals = [0]
+def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
+    """The minimal cl^b-closed sets meeting every edge, by Berge
+    multiplication over closed sets.
+
+    A closed set meeting the edges so far contains some member T of the
+    family; if T misses the next edge E, it also holds cl^b(b) for some b in
+    E, so it contains the product T | cl^b(b), which is closed.  Members
+    meeting E are kept unchecked: a kept K containing a product would
+    strictly contain T, and the family is an antichain.  Products are
+    absorbed against the kept members and each other, smallest first.
+    """
+    family = [0]
     for edge in edges:
         if edge == 0:
             return []
-        nxt = [t for t in transversals if t & edge]
-        for t in transversals:
-            if t & edge:
-                continue
-            nxt.extend(t | 1 << b for b in iter_bits(edge))
-        transversals = _minimal_masks(nxt)
-    return transversals
+        kept = [t for t in family if t & edge]
+        if len(kept) == len(family):
+            continue
+        singles = [ctx.singleton_closure(b) for b in iter_bits(edge)]
+        products = {t | s for t in family if not t & edge for s in singles}
+        fresh: list[int] = []
+        for p in sorted(products, key=int.bit_count):
+            if not any(k & ~p == 0 for k in kept) and not any(
+                q & ~p == 0 for q in fresh
+            ):
+                fresh.append(p)
+        family = kept + fresh
+    return family
 
 
 def dualize_distributive(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:
@@ -70,16 +97,37 @@ def dualize_distributive(binary_ib: ImplicationalBase, b_plus: SetFamily) -> Set
     binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
     uppers = _check_antichain_of_closed(ctx, b_plus)
-    full = ctx.full_mask
-    edges = [full & ~m for m in uppers]
-    closures = {ctx.close_bits(t) for t in _minimal_transversals(edges)}
+    edges = [ctx.full_mask & ~m for m in uppers]
     return SetFamily.from_bits(
-        binary_ib.ground, _minimal_masks(list(closures))
+        binary_ib.ground, _minimal_transversals(ctx, edges)
     ).canonicalize()
 
 
-def _binary_base_from_mi(mi: SetFamily) -> ImplicationalBase:
-    return binary_part(ClosureContext.from_mi(mi))
+def _d_generator_masks(
+    ctx: ClosureContext, bp: ImplicationalBase, mi: SetFamily, c: int
+) -> list[int]:
+    # genD(c) as masks, sorted by closure mask; ``ctx`` is the Mi context,
+    # whose singleton closures are those of cs^b.
+    dual = dualize_distributive(bp, up_arrow(mi, c))
+    cbit = 1 << c
+    rest = [m for m in dual.bit_list() if not m & cbit]
+    if len(rest) != len(dual) - 1:
+        raise NotStandard(
+            f"dual antichain of {mi.ground.label(c)!r} lacks the closure of the element"
+        )
+    out = []
+    for m in sorted(rest):
+        # The minimal spanning set of a closed F in cs^b: its minimal elements.
+        kernel = 0
+        for a in iter_bits(m):
+            if ctx.containers(a) & m == 1 << a:
+                kernel |= 1 << a
+        if ctx.close_binary_bits(kernel) != m:
+            raise NotSpanning(
+                f"minimal elements of {ElementSet(mi.ground, m)!r} do not span it"
+            )
+        out.append(kernel)
+    return out
 
 
 def d_generators_from_mi(mi: SetFamily, c: int) -> list[ElementSet]:
@@ -90,18 +138,8 @@ def d_generators_from_mi(mi: SetFamily, c: int) -> list[ElementSet]:
     spanning set.  Empty exactly when c is join-prime.
     """
     ctx = ClosureContext.from_mi(mi)
-    bp = binary_part(ctx)
-    dual = dualize_distributive(bp, up_antichain(mi, c))
-    ctx_b = ClosureContext.from_ib(bp)
-    cbit = 1 << c
-    rest = [m for m in dual.bit_list() if not m & cbit]
-    if len(rest) != len(dual) - 1:
-        raise NotStandard(
-            f"dual antichain of {mi.ground.label(c)!r} lacks the closure of the element"
-        )
-    return [
-        min_spanning_set(ctx_b, ElementSet(mi.ground, m)) for m in sorted(rest)
-    ]
+    masks = _d_generator_masks(ctx, binary_part(ctx), mi, c)
+    return [ElementSet(mi.ground, k) for k in masks]
 
 
 def d_base_from_mi(mi: SetFamily) -> ImplicationalBase:
@@ -110,22 +148,23 @@ def d_base_from_mi(mi: SetFamily) -> ImplicationalBase:
 
 
 def iter_d_base_from_mi(mi: SetFamily):
-    """Streaming variant: binary part first, then per-element dualizations."""
+    """Streaming variant: binary part first, then per-element dualizations.
+
+    The Mi context, the standardness check and the binary part are computed
+    once per run.  Distinct closures have distinct minimal spanning sets, so
+    no (D-generator, target) pair comes out twice.
+    """
     ctx = ClosureContext.from_mi(mi)
     std, witness = is_standard(ctx)
     if not std:
         raise NotStandard(
             f"cl({mi.ground.label(witness)}) minus itself is not closed"
         )
-    emitted: set[tuple[int, int]] = set()
-    for imp in binary_part(ctx):
-        yield imp
+    bp = binary_part(ctx)
+    yield from bp
     for c in range(len(mi.ground)):
-        for aset in d_generators_from_mi(mi, c):
-            key = (aset.bits, c)
-            if key not in emitted:
-                emitted.add(key)
-                yield Implication(aset, c)
+        for kernel in _d_generator_masks(ctx, bp, mi, c):
+            yield Implication(ElementSet(mi.ground, kernel), c)
 
 
 def embed_dualization(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:

@@ -369,12 +369,17 @@ class _DBaseRun:
         return True
 
     def targets_of(self, bits: int) -> list[int]:
+        ctx = self.ctx
         aset = ElementSet(self.ib.ground, bits)
-        closure = self.ctx.close_bits(bits)
+        closure = ctx.close_bits(bits)
+        # If c is in cl(a) for some a in A, then c lies in cl^b(A) minus x for
+        # every x in A (c is not in A), so A is no D-generator of c.
         return [
             c
             for c in iter_bits(closure & ~bits)
-            if c in self.pending_set and is_d_generator(self.ctx, aset, c)
+            if c in self.pending_set
+            and not bits & ctx.containers(c)
+            and is_d_generator(ctx, aset, c)
         ]
 
     def run(self) -> Iterator[Implication]:

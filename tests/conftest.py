@@ -144,6 +144,18 @@ def gap_ib_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def gap_mi_text(n: int) -> str:
+    """Closed-form Mi of gap(n): U - {a_i}, U - {a_i b_i}, U - {a_i b_i c}."""
+    a = [f"a{i + 1}" for i in range(n)]
+    b = [f"b{i + 1}" for i in range(n)]
+    names = a + b + ["c"]
+    lines = ["ground: " + " ".join(names)]
+    for i in range(n):
+        for drop in ({a[i]}, {a[i], b[i]}, {a[i], b[i], "c"}):
+            lines.append(" ".join(x for x in names if x not in drop))
+    return "\n".join(lines) + "\n"
+
+
 def labelset(es: ElementSet) -> str:
     return "".join(es.labels())
 

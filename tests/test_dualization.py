@@ -4,10 +4,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import dbase.dualization
 from dbase import (
     BruteForce,
     ClosureContext,
+    GroundSet,
+    ImplicationalBase,
     SetFamily,
     binary_part,
     brute_dual,
@@ -16,6 +21,8 @@ from dbase import (
     d_generators_from_mi,
     dualize_distributive,
     embed_dualization,
+    is_standard,
+    iter_d_base,
     iter_d_base_from_mi,
     meet_irreducibles,
     meet_irreducibles_distributive,
@@ -25,6 +32,7 @@ from dbase import (
     serialize_ib,
     up_antichain,
 )
+from dbase.cli import main
 from dbase.errors import (
     MalformedGadget,
     NonBinaryImplication,
@@ -36,6 +44,8 @@ from dbase.errors import (
 from conftest import (
     EX4_DBASE,
     dual_pair_ok,
+    gap_ib_text,
+    gap_mi_text,
     labelsets,
     random_binary_ib,
     random_standard_ib,
@@ -103,6 +113,42 @@ class TestDualizeDistributive:
             dualize_distributive(ex5_ib, family("12345", "1", "12"))
 
 
+@st.composite
+def binary_ibs_with_antichains(draw):
+    """A binary IB on 1..7 elements and an antichain of its closed sets,
+    empty or holding U at times."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    ground = GroundSet([str(i + 1) for i in range(n)])
+    pairs = []
+    if n > 1:
+        for _ in range(draw(st.integers(min_value=0, max_value=10))):
+            a, c = draw(st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=2, max_size=2, unique=True,
+            ))
+            pairs.append((1 << a, c))
+    ib = ImplicationalBase.build(ground, pairs)
+    ctx = ClosureContext.from_ib(ib)
+    picks = draw(st.lists(st.integers(min_value=0, max_value=ground.full_mask), max_size=5))
+    if draw(st.booleans()):
+        picks.append(ground.full_mask)
+    closed = {ctx.close_bits(m) for m in picks}
+    maximal = [m for m in closed if not any(m != k and m & ~k == 0 for k in closed)]
+    return ib, SetFamily.from_bits(ground, maximal)
+
+
+@given(binary_ibs_with_antichains())
+@settings(max_examples=300, deadline=None)
+def test_dualize_matches_brute_dual_property(case):
+    ib, b_plus = case
+    got = dualize_distributive(ib, b_plus)
+    assert got == brute_dual(ib, b_plus)
+    if len(b_plus) == 0:
+        assert [s.bits for s in got] == [0]
+    if ib.ground.full_mask in b_plus.bit_list():
+        assert len(got) == 0
+
+
 class TestUpAntichain:
     def test_five_element_system(self, ex8_mi):
         got = up_antichain(ex8_mi, ex8_mi.ground.position("5"))
@@ -164,6 +210,32 @@ class TestDBaseFromMi:
         assert ctx.singleton_closure(0) == 0b11
         with pytest.raises(NotStandard):
             d_base_from_mi(fam)
+
+    def test_one_context_binary_part_and_standardness_check_per_run(
+        self, ex1_mi, monkeypatch
+    ):
+        counts = {"mi_ctx": 0, "binary_part": 0, "standard": 0}
+        init = ClosureContext.__init__
+        part, check = dbase.dualization.binary_part, dbase.dualization.is_standard
+
+        def counting_init(self, source):
+            counts["mi_ctx"] += isinstance(source, SetFamily)
+            init(self, source)
+
+        def counting_part(ctx):
+            counts["binary_part"] += 1
+            return part(ctx)
+
+        def counting_check(ctx):
+            counts["standard"] += 1
+            return check(ctx)
+
+        monkeypatch.setattr(ClosureContext, "__init__", counting_init)
+        monkeypatch.setattr(dbase.dualization, "binary_part", counting_part)
+        monkeypatch.setattr(dbase.dualization, "is_standard", counting_check)
+        rows = list(iter_d_base_from_mi(ex1_mi))
+        assert serialize_ib(ImplicationalBase(ex1_mi.ground, rows).canonicalize()) == EX4_DBASE
+        assert counts == {"mi_ctx": 1, "binary_part": 1, "standard": 1}
 
     def test_streaming_binary_first(self, ex8_mi):
         stream = list(iter_d_base_from_mi(ex8_mi))
@@ -268,3 +340,80 @@ class TestCrossRouteAgreement:
             ctx = ClosureContext.from_ib(ib)
             mi = meet_irreducibles(ctx)
             assert d_base_from_mi(mi) == d_base(ib)
+
+
+GAP_SCALE_N = 40
+GAP_SCALE_GROUND = 2 * GAP_SCALE_N + 1
+
+
+def gap_closed_form(n: int) -> set[str]:
+    rows = {f"a{i + 1} -> b{i + 1}" for i in range(n)}
+    rows.add(" ".join(f"b{i + 1}" for i in range(n)) + " -> c")
+    return rows
+
+
+class TestGapFamilyAtScale:
+    """gap(40), 81 elements: raw-set Berge would hold 2^40 + 1 transversals
+    for the last row; Berge over closed sets holds at most two."""
+
+    def test_closed_form_mi_is_the_meet_irreducibles(self):
+        for n in range(2, 6):
+            ib = parse_ib(gap_ib_text(n))
+            mi = parse_set_family(gap_mi_text(n))
+            assert meet_irreducibles(ClosureContext.from_ib(ib)) == mi.canonicalize()
+
+    def test_library_route(self):
+        mi = parse_set_family(gap_mi_text(GAP_SCALE_N), max_ground=GAP_SCALE_GROUND)
+        rows = [imp.format() for imp in iter_d_base_from_mi(mi)]
+        assert len(rows) == len(set(rows))
+        assert set(rows) == gap_closed_form(GAP_SCALE_N)
+
+    def test_cli_route(self, tmp_path, capsys):
+        path = tmp_path / "gap40.mi"
+        path.write_text(gap_mi_text(GAP_SCALE_N))
+        code = main([
+            "dbase", str(path), "--from", "mi",
+            "--max-ground", str(GAP_SCALE_GROUND),
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == GAP_SCALE_N + 1
+        assert set(lines) == gap_closed_form(GAP_SCALE_N)
+
+    def test_dualize_binary_part(self):
+        mi = parse_set_family(gap_mi_text(GAP_SCALE_N), max_ground=GAP_SCALE_GROUND)
+        g = mi.ground
+        bp = binary_part(ClosureContext.from_mi(mi))
+        assert {i.format() for i in bp} == {
+            f"a{i + 1} -> b{i + 1}" for i in range(GAP_SCALE_N)
+        }
+        got = dualize_distributive(bp, up_antichain(mi, g.position("c")))
+        assert labelsets(got) == {"c", "".join(f"b{i + 1}" for i in range(GAP_SCALE_N))}
+
+
+@st.composite
+def standard_ibs_with_empty_premises(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    ground = GroundSet([str(i + 1) for i in range(n)])
+    pairs = [
+        (
+            draw(st.integers(min_value=0, max_value=(1 << n) - 1)),
+            draw(st.integers(min_value=0, max_value=n - 1)),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=9)))
+    ]
+    ib = ImplicationalBase.build(ground, pairs)
+    assume(is_standard(ClosureContext.from_ib(ib))[0])
+    return ib
+
+
+@given(standard_ibs_with_empty_premises())
+@settings(max_examples=200, deadline=None)
+def test_routes_and_oracle_agree_property(ib):
+    ctx = ClosureContext.from_ib(ib)
+    want = BruteForce(ctx).d_base()
+    assert d_base_from_mi(meet_irreducibles(ctx)) == want
+    for order in ("size-label", "natural"):
+        rows = list(iter_d_base(ib, order=order))
+        assert len(rows) == len(set(rows))
+        assert ImplicationalBase(ib.ground, rows).canonicalize() == want
