@@ -14,11 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .closure import ClosureContext, binary_part
-from .dualization import (
-    d_base_from_mi,
-    dualize_distributive,
-    iter_d_base_from_mi,
-)
+from .dualization import dualize_distributive, iter_d_base_from_mi
 from .errors import DBaseError
 from .gadgets import (
     gen_acyclic_instance,
@@ -30,12 +26,14 @@ from .gadgets import (
     verify_reduction,
 )
 from .lattice import (
+    DESK_MAX_GROUND,
     classify,
     d_relation,
     delta_relation,
     meet_irreducibles,
 )
 from .model import (
+    DEFAULT_MAX_GROUND,
     parse_ib,
     parse_set_family,
     serialize_ib,
@@ -43,13 +41,14 @@ from .model import (
     serialize_set_family,
 )
 from .oracle import (
+    ORACLE_MAX_GROUND,
     BruteForce,
     brute_canonical_direct_base,
     brute_d_base,
     brute_d_relation,
     brute_dual,
 )
-from .traversal import iter_d_base
+from .traversal import ORDER_POLICIES, iter_d_base
 
 
 def _read(path: str) -> str:
@@ -232,23 +231,31 @@ def _cmd_one_in_three(args) -> int:
     return 0
 
 
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """An option-only parent parser holding one option."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-ground", type=int, default=64, metavar="N",
-                        help="maximum ground size accepted (default 64)")
-    common.add_argument("--order", choices=("size-label", "natural"),
-                        default="size-label",
-                        help="element order used by the Min procedure")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--quiet", action="store_true", help="suppress chatter")
-    common.add_argument("--allow-empty-premise", action="store_true",
-                        help="accept implications with an empty premise")
-    common.add_argument("--max-states", type=int, default=None, metavar="N",
-                        help="cap on the traversal's visited-set size")
-    common.add_argument("--max-oracle", type=int, default=16, metavar="N",
-                        help="ground cap for exhaustive oracle scans (default 16)")
-    common.add_argument("--max-desk", type=int, default=20, metavar="N",
-                        help="ground cap for closed-set enumeration (default 20)")
+    # One parent per piece of code that reads an option: both file loaders
+    # read --max-ground, the IB loader also --allow-empty-premise.
+    ground = _option(
+        "--max-ground", type=int, default=DEFAULT_MAX_GROUND, metavar="N",
+        help="maximum ground size accepted (default %(default)s)")
+    empty = _option("--allow-empty-premise", action="store_true",
+                    help="accept implications with an empty premise")
+    ib = [ground, empty]
+    source = _option("--from", dest="source", choices=("ib", "mi"), default="ib",
+                     help="file holds an implicational base or an Mi family")
+    max_oracle = _option(
+        "--max-oracle", type=int, default=ORACLE_MAX_GROUND, metavar="N",
+        help="ground cap for exhaustive oracle scans (default %(default)s)")
+    max_desk = _option(
+        "--max-desk", type=int, default=DESK_MAX_GROUND, metavar="N",
+        help="ground cap for closed-set enumeration (default %(default)s)")
+    quiet = _option("--quiet", action="store_true", help="suppress chatter")
 
     parser = argparse.ArgumentParser(
         prog="dbase",
@@ -257,46 +264,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dbase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("close", parents=[common], help="closure of a set")
-    p.add_argument("file")
-    p.add_argument("--set", required=True, help="whitespace-separated labels")
-    p.add_argument("--from", dest="source", choices=("ib", "mi"), default="ib")
-    p.set_defaults(func=_cmd_close, binary=False)
+    for name, binary, text in (("close", False, "closure of a set"),
+                               ("closeb", True, "binary closure of a set")):
+        p = sub.add_parser(name, parents=[*ib, source], help=text)
+        p.add_argument("file")
+        p.add_argument("--set", required=True, help="whitespace-separated labels")
+        p.set_defaults(func=_cmd_close, binary=binary)
 
-    p = sub.add_parser("closeb", parents=[common], help="binary closure of a set")
-    p.add_argument("file")
-    p.add_argument("--set", required=True)
-    p.add_argument("--from", dest="source", choices=("ib", "mi"), default="ib")
-    p.set_defaults(func=_cmd_close, binary=True)
-
-    p = sub.add_parser("binary-part", parents=[common],
+    p = sub.add_parser("binary-part", parents=[*ib, source],
                        help="all valid binary implications")
     p.add_argument("file")
-    p.add_argument("--from", dest="source", choices=("ib", "mi"), default="ib")
     p.set_defaults(func=_cmd_binary_part)
 
-    p = sub.add_parser("mi", parents=[common],
+    p = sub.add_parser("mi", parents=[*ib, max_desk],
                        help="meet-irreducible elements (desk scale)")
     p.add_argument("file")
     p.set_defaults(func=_cmd_mi)
 
-    p = sub.add_parser("cdb", parents=[common],
+    p = sub.add_parser("cdb", parents=[*ib, max_oracle],
                        help="canonical direct base (exhaustive oracle)")
     p.add_argument("file")
     p.set_defaults(func=_cmd_cdb)
 
-    p = sub.add_parser("dbase", parents=[common], help="stream the D-base")
+    p = sub.add_parser("dbase", parents=[*ib, source], help="stream the D-base")
     p.add_argument("file")
-    p.add_argument("--from", dest="source", choices=("ib", "mi"), default="ib")
+    p.add_argument("--order", choices=ORDER_POLICIES, default=ORDER_POLICIES[0],
+                   help="element order used by the Min procedure (default %(default)s)")
+    p.add_argument("--max-states", type=int, default=None, metavar="N",
+                   help="cap on the traversal's visited-set size")
     p.set_defaults(func=_cmd_dbase)
 
-    p = sub.add_parser("dualize", parents=[common],
+    p = sub.add_parser("dualize", parents=ib,
                        help="dual antichain in a distributive system")
     p.add_argument("ib_file")
     p.add_argument("antichain_file")
     p.set_defaults(func=_cmd_dualize)
 
-    p = sub.add_parser("relations", parents=[common],
+    p = sub.add_parser("relations", parents=[ground],
                        help="delta- or D-relation edge list from Mi")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
@@ -304,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--d", dest="which", action="store_const", const="d")
     p.set_defaults(func=_cmd_relations)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[*ib, max_desk],
                        help="acyclic / lower-bounded / graph-acyclic flags")
     p.add_argument("file")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("gen-sat", parents=[common],
+    p = sub.add_parser("gen-sat", parents=[quiet],
                        help="generate a reduction instance from a 3-CNF")
     p.add_argument("file")
     p.add_argument("--reduction", choices=("acg", "lb"), required=True)
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="IB file to write (sidecar JSON lands next to it)")
     p.set_defaults(func=_cmd_gen_sat)
 
-    p = sub.add_parser("verify-sat", parents=[common],
+    p = sub.add_parser("verify-sat", parents=[max_oracle, quiet],
                        help="verify a reduction's biconditional by brute force")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--reduction", choices=("acg", "lb"), required=True)
@@ -325,30 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify COUNT random CNFs instead of a file")
     p.add_argument("--vars", type=int, default=8)
     p.add_argument("--clauses", type=int, default=6)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for --random")
     p.set_defaults(func=_cmd_verify_sat)
 
-    p = sub.add_parser("one-in-three", parents=[common],
+    p = sub.add_parser("one-in-three",
                        help="all 1-in-3 assignments of a positive 3-CNF")
     p.add_argument("file")
     p.set_defaults(func=_cmd_one_in_three)
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="exhaustive reference computations")
+    p = sub.add_parser("oracle", help="exhaustive reference computations")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
-    for name, needs_element in (
-        ("gens", True), ("dgens", True), ("cdb", False),
-        ("dbase", False), ("drel", False),
-    ):
-        op = osub.add_parser(name, parents=[common])
+    for name in ("gens", "dgens", "cdb", "dbase", "drel"):
+        op = osub.add_parser(name, parents=[*ib, source, max_oracle])
         op.add_argument("file")
-        op.add_argument("--from", dest="source", choices=("ib", "mi"), default="ib")
-        if needs_element:
+        if name in ("gens", "dgens"):
             op.add_argument("-c", "--element", required=True)
         op.set_defaults(func=_cmd_oracle)
-    op = osub.add_parser("dual", parents=[common])
+    op = osub.add_parser("dual", parents=[*ib, max_oracle])
     op.add_argument("file")
     op.add_argument("antichain_file")
-    op.set_defaults(func=_cmd_oracle, source="ib")
+    op.set_defaults(func=_cmd_oracle)
     return parser
 
 

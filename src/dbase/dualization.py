@@ -42,11 +42,6 @@ from .model import (
 )
 
 
-def up_antichain(mi: SetFamily, c: int) -> SetFamily:
-    """The antichain {M in Mi | c up-arrow M} (maximal members omitting c)."""
-    return up_arrow(mi, c)
-
-
 def _check_antichain_of_closed(ctx: ClosureContext, b_plus: SetFamily) -> list[int]:
     masks = b_plus.bit_list()
     for m in masks:

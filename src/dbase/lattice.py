@@ -97,12 +97,7 @@ def meet_irreducibles_distributive(binary_ib: ImplicationalBase) -> SetFamily:
     Mi(cs) = {{c | a not in cl(c)} | a in U}."""
     binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
-    n = len(binary_ib.ground)
-    masks = []
-    for a in range(n):
-        masks.append(
-            sum(1 << c for c in range(n) if not ctx.singleton_closure(c) >> a & 1)
-        )
+    masks = [ctx.full_mask & ~ctx.containers(a) for a in range(len(binary_ib.ground))]
     return SetFamily.from_bits(binary_ib.ground, masks).canonicalize()
 
 

@@ -148,12 +148,6 @@ class ElementSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.ground.names[i] for i in self)
 
-    def with_element(self, pos: int) -> "ElementSet":
-        return ElementSet(self.ground, self.bits | 1 << pos)
-
-    def without_element(self, pos: int) -> "ElementSet":
-        return ElementSet(self.ground, self.bits & ~(1 << pos))
-
     def __repr__(self) -> str:
         return "{%s}" % " ".join(self.labels())
 
@@ -330,9 +324,6 @@ class Relation:
 
     def __hash__(self) -> int:
         return hash((self.ground, self.arcs))
-
-    def __le__(self, other: "Relation") -> bool:
-        return self.arcs <= other.arcs
 
     def pairs_sorted(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)

@@ -70,11 +70,7 @@ def is_d_generator(ctx: ClosureContext, aset: ElementSet, c: int) -> bool:
 
 def restricted_universe(ctx: ClosureContext, c: int) -> ElementSet:
     """U_c: the elements whose singleton closure avoids c."""
-    bits = 0
-    for a in range(len(ctx.ground)):
-        if not ctx.singleton_closure(a) >> c & 1:
-            bits |= 1 << a
-    return ElementSet(ctx.ground, bits)
+    return ElementSet(ctx.ground, ctx.full_mask & ~ctx.containers(c))
 
 
 def has_d_generators(ctx: ClosureContext, c: int) -> bool:

@@ -34,7 +34,7 @@ from dbase import (
     random_cnf,
     reduced_context,
     serialize_ib,
-    up_antichain,
+    up_arrow,
     verify_reduction,
 )
 from dbase.cli import main as cli_main
@@ -196,7 +196,7 @@ def test_criterion_5_cross_route_oracle_equivalence():
 
         bp = binary_part(ctx)
         for c in range(n):
-            b_plus = up_antichain(mi, c)
+            b_plus = up_arrow(mi, c)
             b_minus = dualize_distributive(bp, b_plus)
             assert dual_pair_ok(bp, b_plus, b_minus)
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: formats, exit codes, streaming."""
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from dbase.cli import main
+from dbase.cli import build_parser, main
 
 from conftest import EX1_MI, EX2_IB, EX4_DBASE, EX5_IB, EX6_CNF, EX8_MI
 
@@ -219,6 +220,85 @@ class TestExitCodes:
         run_main(capsys, "gen-sat", str(cnf), "--reduction", "acg", "-o", str(out_ib))
         code, out = run_main(capsys, "classify", str(out_ib))
         assert code == 0 and "graph_acyclic: true" in out
+
+
+_IB_INPUT = {"--max-ground", "--allow-empty-premise"}
+_ORACLE_INPUT = _IB_INPUT | {"--from", "--max-oracle"}
+
+# The long options each parser accepts: exactly those its handler reads.
+OPTIONS = {
+    "close": _IB_INPUT | {"--from", "--set"},
+    "closeb": _IB_INPUT | {"--from", "--set"},
+    "binary-part": _IB_INPUT | {"--from"},
+    "mi": _IB_INPUT | {"--max-desk"},
+    "cdb": _IB_INPUT | {"--max-oracle"},
+    "dbase": _IB_INPUT | {"--from", "--order", "--max-states"},
+    "dualize": _IB_INPUT,
+    "relations": {"--max-ground", "--delta", "--d"},
+    "classify": _IB_INPUT | {"--max-desk"},
+    "gen-sat": {"--reduction", "--output", "--quiet"},
+    "verify-sat": {
+        "--reduction", "--random", "--vars", "--clauses", "--seed",
+        "--max-oracle", "--quiet",
+    },
+    "one-in-three": set(),
+    "oracle": set(),
+    "oracle gens": _ORACLE_INPUT | {"--element"},
+    "oracle dgens": _ORACLE_INPUT | {"--element"},
+    "oracle cdb": _ORACLE_INPUT,
+    "oracle dbase": _ORACLE_INPUT,
+    "oracle drel": _ORACLE_INPUT,
+    "oracle dual": _IB_INPUT | {"--max-oracle"},
+}
+
+
+def _parsers(parser, prefix=""):
+    """Every subcommand parser below ``parser``, groups included."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                path = f"{prefix}{name}"
+                out[path] = child
+                out.update(_parsers(child, path + " "))
+    return out
+
+
+def _long_options(parser) -> set[str]:
+    return {
+        flag
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+
+
+class TestOptionSurface:
+    def test_every_parser_is_listed(self):
+        assert set(_parsers(build_parser())) == set(OPTIONS)
+
+    @pytest.mark.parametrize("path", sorted(OPTIONS))
+    def test_parser_takes_only_the_options_it_reads(self, path):
+        assert _long_options(_parsers(build_parser())[path]) == OPTIONS[path]
+
+    def test_oracle_flag_before_subcommand_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--max-oracle", "18", "cdb", str(tmp_path / "f.ib")])
+        assert exc.value.code == 2
+
+    def test_unread_flag_is_usage_error(self, ex2_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["close", ex2_file, "--set", "2 5", "--max-states", "0"])
+        assert exc.value.code == 2
+
+    def test_oracle_cdb_honours_max_oracle(self, capsys, tmp_path):
+        # 18 elements exceed the default cap of 16.
+        names = " ".join(f"e{i}" for i in range(18))
+        path = tmp_path / "ib18.ib"
+        path.write_text(f"ground: {names}\ne0 e1 -> e2\ne2 -> e3\n")
+        code, out = run_main(capsys, "oracle", "cdb", str(path), "--max-oracle", "18")
+        assert code == 0
+        assert out == f"ground: {names}\ne2 -> e3\ne0 e1 -> e2\ne0 e1 -> e3\n"
 
 
 class TestStdin:

@@ -30,7 +30,7 @@ from dbase import (
     parse_set_family,
     recover_dual_from_dbase,
     serialize_ib,
-    up_antichain,
+    up_arrow,
 )
 from dbase.cli import main
 from dbase.errors import (
@@ -151,15 +151,15 @@ def test_dualize_matches_brute_dual_property(case):
 
 class TestUpAntichain:
     def test_five_element_system(self, ex8_mi):
-        got = up_antichain(ex8_mi, ex8_mi.ground.position("5"))
+        got = up_arrow(ex8_mi, ex8_mi.ground.position("5"))
         assert labelsets(got) == {"12", "23", "24"}
 
     def test_element_in_every_member(self):
         fam = family("12", "12", "1")
-        assert len(up_antichain(fam, fam.ground.position("1"))) == 0
+        assert len(up_arrow(fam, fam.ground.position("1"))) == 0
 
     def test_running_example_element_6(self, ex1_mi):
-        got = up_antichain(ex1_mi, ex1_mi.ground.position("6"))
+        got = up_arrow(ex1_mi, ex1_mi.ground.position("6"))
         assert labelsets(got) == {"13", "15", "124"}
 
 
@@ -184,7 +184,7 @@ class TestDGeneratorsFromMi:
         bp = binary_part(ClosureContext.from_mi(ex8_mi))
         brute = BruteForce(ClosureContext.from_ib(ex8_ib))
         for c in range(5):
-            dual = dualize_distributive(bp, up_antichain(ex8_mi, c))
+            dual = dualize_distributive(bp, up_arrow(ex8_mi, c))
             assert len(dual) == len(brute.d_generator_masks(c)) + 1
 
 
@@ -387,7 +387,7 @@ class TestGapFamilyAtScale:
         assert {i.format() for i in bp} == {
             f"a{i + 1} -> b{i + 1}" for i in range(GAP_SCALE_N)
         }
-        got = dualize_distributive(bp, up_antichain(mi, g.position("c")))
+        got = dualize_distributive(bp, up_arrow(mi, g.position("c")))
         assert labelsets(got) == {"c", "".join(f"b{i + 1}" for i in range(GAP_SCALE_N))}
 
 
