@@ -113,7 +113,7 @@ def _cmd_dbase(args) -> int:
     else:
         stream = iter_d_base(
             _load_ib(args, args.file),
-            order=args.order,
+            order=args.order or ORDER_POLICIES[0],
             max_states=args.max_states,
         )
     for imp in stream:
@@ -288,8 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dbase", parents=[*ib, source], help="stream the D-base")
     p.add_argument("file")
-    p.add_argument("--order", choices=ORDER_POLICIES, default=ORDER_POLICIES[0],
-                   help="element order used by the Min procedure (default %(default)s)")
+    # None marks --order as not given, which ``--from mi`` requires.
+    p.add_argument("--order", choices=ORDER_POLICIES, default=None,
+                   help="element order used by the Min procedure "
+                        f"(default {ORDER_POLICIES[0]})")
     p.add_argument("--max-states", type=int, default=None, metavar="N",
                    help="cap on the traversal's visited-set size")
     p.set_defaults(func=_cmd_dbase)
@@ -357,6 +359,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify-sat" and not args.random and args.file is None:
         parser.error("verify-sat needs a CNF file or --random COUNT")
+    if args.command == "dbase" and args.source == "mi":
+        # The Mi route reads no option of the IB route.
+        given = [
+            flag
+            for flag, present in (
+                ("--order", args.order is not None),
+                ("--max-states", args.max_states is not None),
+                ("--allow-empty-premise", args.allow_empty_premise),
+            )
+            if present
+        ]
+        if given:
+            parser.error(f"dbase --from mi takes no {', '.join(given)}")
     try:
         return args.func(args)
     except DBaseError as exc:

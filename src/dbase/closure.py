@@ -135,6 +135,17 @@ class ClosureContext:
         """Bitmask of the elements y with x in cl(y) (includes x itself)."""
         return self._containers[x]
 
+    def minimal_elements(self, bits: int) -> int:
+        """Members of ``bits`` that no other member's singleton closure holds;
+        for a cl^b-closed set of a standard system, its minimal spanning set
+        under cl^b."""
+        containers = self._containers
+        out = 0
+        for x in iter_bits(bits):
+            if containers[x] & bits == 1 << x:
+                out |= 1 << x
+        return out
+
     @property
     def full_mask(self) -> int:
         return self.ground.full_mask

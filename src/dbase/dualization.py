@@ -113,10 +113,7 @@ def _d_generator_masks(
     out = []
     for m in sorted(rest):
         # The minimal spanning set of a closed F in cs^b: its minimal elements.
-        kernel = 0
-        for a in iter_bits(m):
-            if ctx.containers(a) & m == 1 << a:
-                kernel |= 1 << a
+        kernel = ctx.minimal_elements(m)
         if ctx.close_binary_bits(kernel) != m:
             raise NotSpanning(
                 f"minimal elements of {ElementSet(mi.ground, m)!r} do not span it"

@@ -12,6 +12,10 @@ visited set may grow exponentially; ``max_states`` caps it.
 The traversal never materializes Sigma_c: every closure runs in the one
 context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
 :class:`_SolutionGraph`), and the transitions are read off Sigma directly.
+Nearly all the work is closure calls inside Min, so each target's graph keeps
+a memo from every set a Min walk passes through to the walk's result, and
+candidate windows go to Min without a spanning test: every window spans by
+construction.  The memo is cleared whenever it passes ``MEMO_CAP`` entries.
 :func:`build_reduced_base` and :func:`reduced_context` remain as the
 paper-level construction that the tests check the traversal against; run
 through :func:`min_reduce` and :func:`neighbors`, they drive the same Min
@@ -35,6 +39,10 @@ from .errors import (
 from .model import ElementSet, Implication, ImplicationalBase, iter_bits
 
 ORDER_POLICIES = ("size-label", "natural")
+
+# Entries a target's Min memo may hold before it is cleared; the memo only
+# saves work, so clearing it never changes a result.
+MEMO_CAP = 1 << 18
 
 
 def _require_standard(ctx: ClosureContext) -> None:
@@ -187,12 +195,21 @@ class _SolutionGraph:
        so A lies in Y = cl_c(X), which lies in U_c as every conclusion of
        Sigma_c does.  Y contains cl^b(A) (by 3, as cl_c^b) and, through
        Sigma_2, every b in U_c minus cl^b(A); so Y = U_c.
+    5. Every window spans.  The window of a spanning A and a transition
+       B -> d is W = cl^b((cl^b(A) minus cl^b(d)) union B).  If B -> d is
+       valid (in Sigma_1, or in Sigma_c on the reduced context), then B
+       lies in W, so d and cl^b(d) lie in cl(W); hence cl^b(A) lies in
+       cl(W), and so does cl(A), which covers ``cover``.  If B -> d is an
+       expansion of a source B -> d' with d' outside U_c, then d' lies in
+       cl(W), and so does c, which is in cl(d').  So windows go to Min
+       untested.
 
     By 1 and 3 the windows and Min's extremality tests are the same in both
     contexts, and by 2 the transitions come straight from Sigma.  Windows
     obey cl^b(X union Y) = cl^b(X) | cl^b(Y), so each one is a single OR
-    against a per-conclusion base; duplicates collapse before any Min work,
-    and Min results are memoized by window across the whole traversal.
+    against a per-conclusion base; duplicates collapse before any Min work.
+    ``memo`` maps every set a Min walk has passed through to the walk's
+    result (see :meth:`min_reduce`), across the whole traversal.
     """
 
     __slots__ = ("ctx", "universe", "cover", "ordering", "transitions", "memo")
@@ -216,7 +233,7 @@ class _SolutionGraph:
         self.transitions = [
             (ctx.singleton_closure(d), tuple(clbs)) for d, clbs in groups.items()
         ]
-        self.memo: dict[int, int | None] = {}
+        self.memo: dict[int, int] = {}
 
     @classmethod
     def of_target(cls, ctx: ClosureContext, c: int, order: str) -> "_SolutionGraph":
@@ -232,19 +249,35 @@ class _SolutionGraph:
         pairs = ((imp.premise.bits, imp.conclusion) for imp in rb.base)
         return cls(ctx_c, ubits, ubits, rb.ordering, pairs)
 
-    def spans(self, bits: int) -> bool:
-        return self.ctx.close_bits(bits) & self.cover == self.cover
-
     def min_reduce(self, fbits: int) -> int:
         """Greedy Min on a cl^b-closed spanning set; returns D-generator bits.
 
-        An element that once fails the removability test stays unremovable
-        (closures only shrink as the set does), so each element is
-        closure-tested at most once: at most 2|U| closure calls per reduction.
+        Each step drops the first element of ``ordering`` that is extreme in
+        the current set (no other member's singleton closure holds it) and
+        removable (the rest still spans), then rescans from the front; the
+        walk ends when nothing is removable, and returns the minimal
+        elements of what is left.  An element that once fails the
+        removability test stays unremovable (closures only shrink as the set
+        does), so each element is closure-tested at most once: at most 2|U|
+        closure calls per reduction.
+
+        Every set the walk passes through goes into ``memo`` with the
+        result, and a walk stops at its first memo hit.  This is exact
+        because the step taken from a set depends on that set alone: an
+        element skipped as dead would fail its test again, its closure
+        being no larger than when it failed, and the scan always restarts
+        from the front of ``ordering``.  So Min started from any set on the
+        walk makes the same removals from there on and returns the same
+        result.
         """
+        memo = self.memo
+        kernel = memo.get(fbits)
+        if kernel is not None:
+            return kernel
         ctx = self.ctx
         close, cover = ctx.close_bits, self.cover
         cur = fbits
+        walk = [cur]
         dead = 0
         while True:
             for x in self.ordering:
@@ -258,33 +291,32 @@ class _SolutionGraph:
                     break
                 dead |= bx
             else:
+                kernel = ctx.minimal_elements(cur)
                 break
-        # The kernel: members that no other member's singleton closure holds.
-        kernel = 0
-        for x in iter_bits(cur):
-            if ctx.containers(x) & cur == 1 << x:
-                kernel |= 1 << x
+            kernel = memo.get(cur)
+            if kernel is not None:
+                break
+            walk.append(cur)
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        for bits in walk:
+            memo[bits] = kernel
         return kernel
 
-    def neighbor_bits(self, abits: int) -> set[int]:
+    def windows(self, abits: int) -> set[int]:
+        """The distinct windows cl^b((cl^b(A) minus cl^b(d)) union B) of a
+        spanning A, one per transition B -> d; each spans (fact 5)."""
         ctx = self.ctx
         clb_a = ctx.close_binary_bits(abits)
-        windows: set[int] = set()
+        out: set[int] = set()
         for cl_d, premise_closures in self.transitions:
             base = ctx.close_binary_bits(clb_a & ~cl_d)
             for clbp in premise_closures:
-                windows.add(base | clbp)
-        out: set[int] = set()
-        memo = self.memo
-        for window in windows:
-            if window in memo:
-                reduced = memo[window]
-            else:
-                reduced = self.min_reduce(window) if self.spans(window) else None
-                memo[window] = reduced
-            if reduced is not None:
-                out.add(reduced)
+                out.add(base | clbp)
         return out
+
+    def neighbor_bits(self, abits: int) -> set[int]:
+        return {self.min_reduce(window) for window in self.windows(abits)}
 
 
 def min_reduce(rb: ReducedBase, ctx_c: ClosureContext, fset: ElementSet) -> ElementSet:

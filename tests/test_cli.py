@@ -68,6 +68,16 @@ class TestDBase:
         code, _ = run_main(capsys, "dbase", str(path), "--max-states", "0")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--order", "size-label"], ["--max-states", "0"], ["--allow-empty-premise"]],
+    )
+    def test_from_mi_rejects_ib_route_options(self, capsys, ex8_mi_file, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["dbase", ex8_mi_file, "--from", "mi", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
     def test_both_routes_agree_canonicalized(self, capsys, tmp_path, ex2_file):
         _, from_ib = run_main(capsys, "dbase", ex2_file, "--from", "ib")
         mi_path = tmp_path / "ex1.mi"

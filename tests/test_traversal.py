@@ -39,6 +39,7 @@ from dbase.errors import (
 )
 from dbase.gadgets import gen_acyclic_instance, gen_lower_bounded_instance, random_cnf
 from dbase.model import iter_bits
+from dbase.traversal import _DBaseRun, _SolutionGraph
 
 from conftest import (
     EX4_DBASE,
@@ -177,12 +178,12 @@ class TestBuildReducedBase:
 
 
 @st.composite
-def standard_ibs(draw):
-    n = draw(st.integers(min_value=2, max_value=7))
+def standard_ibs(draw, min_n=2, min_premise=1):
+    n = draw(st.integers(min_value=min_n, max_value=7))
     ground = GroundSet([str(i + 1) for i in range(n)])
     pairs = [
         (
-            draw(st.integers(min_value=1, max_value=(1 << n) - 1)),
+            draw(st.integers(min_value=min_premise, max_value=(1 << n) - 1)),
             draw(st.integers(min_value=0, max_value=n - 1)),
         )
         for _ in range(draw(st.integers(min_value=0, max_value=10)))
@@ -450,6 +451,58 @@ class TestDBase:
         rows = list(iter_d_base(ex9_ib))
         assert len(rows) > len(ex9_ib.ground)
         assert counts == {"ctx": 1, "standard": 1}
+
+
+# An empty premise and |U| = 1 are allowed here.
+@given(standard_ibs(min_n=1, min_premise=0), st.sampled_from(["size-label", "natural"]))
+@settings(max_examples=150, deadline=None)
+def test_walk_memo_is_exact_and_windows_span(ib, order):
+    # The two facts that let Min memoize whole walks and skip a spanning
+    # test: a walk from any memoized set gives the memoized result, and every
+    # window built from a D-generator of t has t in its closure.
+    run = _DBaseRun(ib, order, None)
+    rows = list(run.run())
+    ctx = run.ctx
+    for c, graph in run.graphs.items():
+        for bits, kernel in graph.memo.items():
+            fresh = _SolutionGraph.of_target(ctx, c, order)
+            assert fresh.min_reduce(bits) == kernel
+    for imp in rows:
+        if imp.is_binary:
+            continue
+        t = imp.conclusion
+        for window in run.graphs[t].windows(imp.premise.bits):
+            assert ctx.close_bits(window) >> t & 1
+
+
+class TestMinMemo:
+    def test_capped_memo_gives_the_same_stream(self, monkeypatch):
+        ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 6, 5))
+        for order in ("size-label", "natural"):
+            want = [i.format() for i in iter_d_base(ib, order=order)]
+            with monkeypatch.context() as m:
+                m.setattr(dbase.traversal, "MEMO_CAP", 8)
+                run = _DBaseRun(ib, order, None)
+                got = [i.format() for i in run.run()]
+            assert got == want
+            # Cleared below the cap, then one walk of at most |U| + 1 sets.
+            assert max(len(g.memo) for g in run.graphs.values()) <= 8 + len(ib.ground)
+
+    def test_closure_calls_on_lb_gadget(self, monkeypatch):
+        # Memoizing whole walks and dropping the window spanning test cut
+        # this run from 34,176 closure calls to 9,851.
+        ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+        calls = [0]
+        close = ClosureContext.close_bits
+
+        def counting(self, bits):
+            calls[0] += 1
+            return close(self, bits)
+
+        monkeypatch.setattr(ClosureContext, "close_bits", counting)
+        rows = list(iter_d_base(ib))
+        assert len(rows) == 89
+        assert calls[0] <= 12_000
 
 
 class TestStrongConnectivity:
