@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="element order used by the Min procedure "
                         f"(default {ORDER_POLICIES[0]})")
     p.add_argument("--max-states", type=int, default=None, metavar="N",
-                   help="cap on the traversal's visited-set size")
+                   help="cap on each target's visited set in the traversal")
     p.set_defaults(func=_cmd_dbase)
 
     p = sub.add_parser("dualize", parents=ib,
@@ -357,8 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify-sat" and not args.random and args.file is None:
-        parser.error("verify-sat needs a CNF file or --random COUNT")
+    if args.command == "verify-sat":
+        if not args.random and args.file is None:
+            parser.error("verify-sat needs a CNF file or --random COUNT")
+        if args.random < 0:
+            parser.error("--random COUNT must not be negative")
+        if args.vars < 3:
+            parser.error("--vars must be at least 3 (clauses have 3 variables)")
+        if args.clauses < 1:
+            parser.error("--clauses must be at least 1")
     if args.command == "dbase" and args.source == "mi":
         # The Mi route reads no option of the IB route.
         given = [

@@ -98,6 +98,17 @@ def dualize_distributive(binary_ib: ImplicationalBase, b_plus: SetFamily) -> Set
     ).canonicalize()
 
 
+def _mi_context(mi: SetFamily) -> tuple[ClosureContext, ImplicationalBase]:
+    # The Mi context, checked standard, and its binary part.
+    ctx = ClosureContext.from_mi(mi)
+    std, witness = is_standard(ctx)
+    if not std:
+        raise NotStandard(
+            f"cl({mi.ground.label(witness)}) minus itself is not closed"
+        )
+    return ctx, binary_part(ctx)
+
+
 def _d_generator_masks(
     ctx: ClosureContext, bp: ImplicationalBase, mi: SetFamily, c: int
 ) -> list[int]:
@@ -129,8 +140,8 @@ def d_generators_from_mi(mi: SetFamily, c: int) -> list[ElementSet]:
     one containing c), and map every remaining closure to its unique minimal
     spanning set.  Empty exactly when c is join-prime.
     """
-    ctx = ClosureContext.from_mi(mi)
-    masks = _d_generator_masks(ctx, binary_part(ctx), mi, c)
+    ctx, bp = _mi_context(mi)
+    masks = _d_generator_masks(ctx, bp, mi, c)
     return [ElementSet(mi.ground, k) for k in masks]
 
 
@@ -146,13 +157,7 @@ def iter_d_base_from_mi(mi: SetFamily):
     once per run.  Distinct closures have distinct minimal spanning sets, so
     no (D-generator, target) pair comes out twice.
     """
-    ctx = ClosureContext.from_mi(mi)
-    std, witness = is_standard(ctx)
-    if not std:
-        raise NotStandard(
-            f"cl({mi.ground.label(witness)}) minus itself is not closed"
-        )
-    bp = binary_part(ctx)
+    ctx, bp = _mi_context(mi)
     yield from bp
     for c in range(len(mi.ground)):
         for kernel in _d_generator_masks(ctx, bp, mi, c):

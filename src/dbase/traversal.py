@@ -4,10 +4,11 @@ For a target element c, the D-generators of c are exactly the D-minimal keys
 of the reduced base (U_c, Sigma_c).  The solution graph on them is traversed
 breadth-first, with transitions obtained by substituting a premise of Sigma_c
 into the binary closure of the current generator and re-minimizing greedily
-(the Min procedure).  The whole D-base enumeration overlays those graphs and
-restarts from a fresh Min(U_c) whenever a target's component is untouched,
-which yields every implication exactly once with polynomial delay.  The
-visited set may grow exponentially; ``max_states`` caps it.
+(the Min procedure).  The whole D-base enumeration walks the targets one at
+a time in ground order: one graph, one BFS from Min(U_c) and one visited set
+per target, each dropped when its target ends.  That yields every
+implication exactly once with polynomial delay.  The visited set may grow
+exponentially; ``max_states`` caps it.
 
 The traversal never materializes Sigma_c: every closure runs in the one
 context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
@@ -15,7 +16,8 @@ context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
 Nearly all the work is closure calls inside Min, so each target's graph keeps
 a memo from every set a Min walk passes through to the walk's result, and
 candidate windows go to Min without a spanning test: every window spans by
-construction.  The memo is cleared whenever it passes ``MEMO_CAP`` entries.
+construction.  The memo is cleared whenever it passes ``MEMO_CAP`` entries;
+as only one target's graph is alive at a time, that bounds the whole run.
 :func:`build_reduced_base` and :func:`reduced_context` remain as the
 paper-level construction that the tests check the traversal against; run
 through :func:`min_reduce` and :func:`neighbors`, they drive the same Min
@@ -40,8 +42,9 @@ from .model import ElementSet, Implication, ImplicationalBase, iter_bits
 
 ORDER_POLICIES = ("size-label", "natural")
 
-# Entries a target's Min memo may hold before it is cleared; the memo only
-# saves work, so clearing it never changes a result.
+# Entries the Min memo may hold before it is cleared; only one target's graph
+# is alive at a time, so this bounds a whole run.  The memo only saves work,
+# so clearing it never changes a result.
 MEMO_CAP = 1 << 18
 
 
@@ -209,7 +212,7 @@ class _SolutionGraph:
     obey cl^b(X union Y) = cl^b(X) | cl^b(Y), so each one is a single OR
     against a per-conclusion base; duplicates collapse before any Min work.
     ``memo`` maps every set a Min walk has passed through to the walk's
-    result (see :meth:`min_reduce`), across the whole traversal.
+    result (see :meth:`min_reduce`), across the target's whole traversal.
     """
 
     __slots__ = ("ctx", "universe", "cover", "ordering", "transitions", "memo")
@@ -318,6 +321,28 @@ class _SolutionGraph:
     def neighbor_bits(self, abits: int) -> set[int]:
         return {self.min_reduce(window) for window in self.windows(abits)}
 
+    def traverse(self, max_states: int | None = None) -> Iterator[int]:
+        """Breadth-first search from Min(U_c), yielding each D-generator of
+        the target once.  The solution graph on genD(c) is strongly
+        connected, so the search reaches all of it; admitting a state past
+        ``max_states`` visited ones raises :class:`StateLimitExceeded`."""
+        visited: set[int] = set()
+        queue: deque[int] = deque()
+        fresh: Iterable[int] = (self.min_reduce(self.universe),)
+        while True:
+            for bits in fresh:
+                if bits in visited:
+                    continue
+                if max_states is not None and len(visited) >= max_states:
+                    raise StateLimitExceeded(f"visited-set cap {max_states} reached")
+                visited.add(bits)
+                queue.append(bits)
+            if not queue:
+                return
+            bits = queue.popleft()
+            yield bits
+            fresh = self.neighbor_bits(bits)
+
 
 def min_reduce(rb: ReducedBase, ctx_c: ClosureContext, fset: ElementSet) -> ElementSet:
     """Min procedure: repeatedly drop the first removable extreme element of
@@ -353,89 +378,8 @@ def enumerate_d_generators(
     _require_standard(ctx)
     if not has_d_generators(ctx, c):
         return
-    graph = _SolutionGraph.of_target(ctx, c, order)
-    start = graph.min_reduce(graph.universe)
-    visited = {start}
-    queue = deque([start])
-    while queue:
-        bits = queue.popleft()
+    for bits in _SolutionGraph.of_target(ctx, c, order).traverse():
         yield ElementSet(ib.ground, bits)
-        for nxt in graph.neighbor_bits(bits):
-            if nxt not in visited:
-                visited.add(nxt)
-                queue.append(nxt)
-
-
-class _DBaseRun:
-    """Shared state for one full D-base enumeration."""
-
-    def __init__(self, ib: ImplicationalBase, order: str, max_states: int | None):
-        self.ib = ib
-        self.ctx = ClosureContext.from_ib(ib)
-        _require_standard(self.ctx)
-        self.order = order
-        self.max_states = max_states
-        self.pending = [
-            c for c in range(len(ib.ground)) if has_d_generators(self.ctx, c)
-        ]
-        self.pending_set = set(self.pending)
-        self.graphs: dict[int, _SolutionGraph] = {}
-        self.visited: set[int] = set()
-
-    def graph_for(self, c: int) -> _SolutionGraph:
-        if c not in self.graphs:
-            self.graphs[c] = _SolutionGraph.of_target(self.ctx, c, self.order)
-        return self.graphs[c]
-
-    def admit(self, bits: int) -> bool:
-        """Add a state to the visited set; False if it was there already."""
-        if bits in self.visited:
-            return False
-        if self.max_states is not None and len(self.visited) >= self.max_states:
-            raise StateLimitExceeded(f"visited-set cap {self.max_states} reached")
-        self.visited.add(bits)
-        return True
-
-    def targets_of(self, bits: int) -> list[int]:
-        ctx = self.ctx
-        aset = ElementSet(self.ib.ground, bits)
-        closure = ctx.close_bits(bits)
-        # If c is in cl(a) for some a in A, then c lies in cl^b(A) minus x for
-        # every x in A (c is not in A), so A is no D-generator of c.
-        return [
-            c
-            for c in iter_bits(closure & ~bits)
-            if c in self.pending_set
-            and not bits & ctx.containers(c)
-            and is_d_generator(ctx, aset, c)
-        ]
-
-    def run(self) -> Iterator[Implication]:
-        ground = self.ib.ground
-        for imp in binary_part(self.ctx):
-            yield imp
-        done: set[int] = set()
-        for c in self.pending:
-            if c in done:
-                continue
-            graph = self.graph_for(c)
-            start = graph.min_reduce(graph.universe)
-            if not self.admit(start):
-                # The component holding genD(c) was fully explored already.
-                done.add(c)
-                continue
-            queue = deque([start])
-            while queue:
-                bits = queue.popleft()
-                targets = self.targets_of(bits)
-                aset = ElementSet(ground, bits)
-                for t in targets:
-                    done.add(t)
-                    yield Implication(aset, t)
-                for t in targets:
-                    for nxt in self.graph_for(t).neighbor_bits(bits):
-                        if self.admit(nxt):
-                            queue.append(nxt)
 
 
 def iter_d_base(
@@ -444,9 +388,18 @@ def iter_d_base(
     order: str = "size-label",
     max_states: int | None = None,
 ) -> Iterator[Implication]:
-    """Stream the D-base: the full binary part first, then one implication
-    A -> c per (D-generator, target) pair as the traversal visits A."""
-    return _DBaseRun(ib, order, max_states).run()
+    """Stream the D-base: the full binary part first, then target by target
+    in ground order, one implication A -> c per D-generator A of c as c's
+    traversal visits A.  ``max_states`` caps each target's visited set."""
+    ctx = ClosureContext.from_ib(ib)
+    _require_standard(ctx)
+    yield from binary_part(ctx)
+    ground = ib.ground
+    for c in range(len(ground)):
+        if has_d_generators(ctx, c):
+            # The graph, its memo and its visited set die with the loop.
+            for bits in _SolutionGraph.of_target(ctx, c, order).traverse(max_states):
+                yield Implication(ElementSet(ground, bits), c)
 
 
 def d_base(

@@ -196,6 +196,17 @@ class TestGenVerifySat:
         )
         assert code == 0 and "5/5 random instances ok" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--random", "-3"], ["--random", "2", "--vars", "2"],
+         ["--random", "2", "--clauses", "0"]],
+    )
+    def test_verify_sat_random_rejects_bad_counts(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-sat", "--reduction", "lb", *flags])
+        assert exc.value.code == 2
+        assert flags[-2] in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_domain_error_is_1(self, capsys, tmp_path):

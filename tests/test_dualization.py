@@ -180,6 +180,19 @@ class TestDGeneratorsFromMi:
         brute = BruteForce(ex2_ctx)
         assert {s.bits for s in got} == set(brute.d_generator_masks(six))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["ground: a b\n.\n", "ground: a b c d\n.\nc\na b\nd\n"],
+        ids=["empty-set-only", "four-elements"],
+    )
+    def test_not_standard_rejected_like_the_stream(self, text):
+        mi = parse_set_family(text)
+        with pytest.raises(NotStandard):
+            list(iter_d_base_from_mi(mi))
+        for c in range(len(mi.ground)):
+            with pytest.raises(NotStandard):
+                d_generators_from_mi(mi, c)
+
     def test_dual_size_is_generator_count_plus_one(self, ex8_mi, ex8_ib):
         bp = binary_part(ClosureContext.from_mi(ex8_mi))
         brute = BruteForce(ClosureContext.from_ib(ex8_ib))

@@ -1,6 +1,7 @@
 """Solution-graph enumeration of D-generators and the full D-base."""
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -39,7 +40,7 @@ from dbase.errors import (
 )
 from dbase.gadgets import gen_acyclic_instance, gen_lower_bounded_instance, random_cnf
 from dbase.model import iter_bits
-from dbase.traversal import _DBaseRun, _SolutionGraph
+from dbase.traversal import _SolutionGraph
 
 from conftest import (
     EX4_DBASE,
@@ -419,6 +420,21 @@ class TestDBase:
             list(iter_d_base(ib, max_states=0))
         assert [i.format() for i in iter_d_base(ib, max_states=1)] == ["1 2 -> 3"]
 
+    def test_state_limit_counts_per_target(self, ex9_ib):
+        # The genD sets of ex9 hold 9 states together, at most 6 for one target.
+        assert len(list(iter_d_base(ex9_ib, max_states=6))) == 19
+        with pytest.raises(StateLimitExceeded):
+            list(iter_d_base(ex9_ib, max_states=5))
+
+    def test_one_solution_graph_alive_per_row(self):
+        ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 6, 5))
+        alive = []
+        for _ in iter_d_base(ib):
+            alive.append(
+                sum(isinstance(o, _SolutionGraph) for o in gc.get_objects())
+            )
+        assert max(alive) == 1
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("order", ["size-label", "natural"])
     def test_gadgets_match_mi_route(self, seed, order):
@@ -459,34 +475,50 @@ class TestDBase:
 def test_walk_memo_is_exact_and_windows_span(ib, order):
     # The two facts that let Min memoize whole walks and skip a spanning
     # test: a walk from any memoized set gives the memoized result, and every
-    # window built from a D-generator of t has t in its closure.
-    run = _DBaseRun(ib, order, None)
-    rows = list(run.run())
-    ctx = run.ctx
-    for c, graph in run.graphs.items():
+    # window built from a D-generator of c has c in its closure.  Each
+    # target's graph is the one iter_d_base walks for that target.
+    ctx = ClosureContext.from_ib(ib)
+    rows = list(iter_d_base(ib, order=order))
+    for c in range(len(ib.ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        graph = _SolutionGraph.of_target(ctx, c, order)
+        gens = list(graph.traverse())
+        assert sorted(gens) == sorted(
+            i.premise.bits for i in rows if i.conclusion == c and not i.is_binary
+        )
         for bits, kernel in graph.memo.items():
             fresh = _SolutionGraph.of_target(ctx, c, order)
             assert fresh.min_reduce(bits) == kernel
-    for imp in rows:
-        if imp.is_binary:
-            continue
-        t = imp.conclusion
-        for window in run.graphs[t].windows(imp.premise.bits):
-            assert ctx.close_bits(window) >> t & 1
+        for abits in gens:
+            for window in graph.windows(abits):
+                assert ctx.close_bits(window) >> c & 1
 
 
 class TestMinMemo:
     def test_capped_memo_gives_the_same_stream(self, monkeypatch):
         ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 6, 5))
+        ctx = ClosureContext.from_ib(ib)
+        targets = [c for c in range(len(ib.ground)) if has_d_generators(ctx, c)]
         for order in ("size-label", "natural"):
             want = [i.format() for i in iter_d_base(ib, order=order)]
+            uncapped = {
+                c: list(_SolutionGraph.of_target(ctx, c, order).traverse())
+                for c in targets
+            }
             with monkeypatch.context() as m:
                 m.setattr(dbase.traversal, "MEMO_CAP", 8)
-                run = _DBaseRun(ib, order, None)
-                got = [i.format() for i in run.run()]
+                got = [i.format() for i in iter_d_base(ib, order=order)]
+                for c in targets:
+                    graph = _SolutionGraph.of_target(ctx, c, order)
+                    capped = []
+                    for bits in graph.traverse():
+                        capped.append(bits)
+                        # Cleared below the cap, then one walk of at most
+                        # |U| + 1 sets.
+                        assert len(graph.memo) <= 8 + len(ib.ground)
+                    assert capped == uncapped[c]
             assert got == want
-            # Cleared below the cap, then one walk of at most |U| + 1 sets.
-            assert max(len(g.memo) for g in run.graphs.values()) <= 8 + len(ib.ground)
 
     def test_closure_calls_on_lb_gadget(self, monkeypatch):
         # Memoizing whole walks and dropping the window spanning test cut
