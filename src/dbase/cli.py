@@ -231,6 +231,14 @@ def _cmd_one_in_three(args) -> int:
     return 0
 
 
+def nonnegative(text: str) -> int:
+    """argparse type of the caps and counts: an int that is not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
     """An option-only parent parser holding one option."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -242,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     # One parent per piece of code that reads an option: both file loaders
     # read --max-ground, the IB loader also --allow-empty-premise.
     ground = _option(
-        "--max-ground", type=int, default=DEFAULT_MAX_GROUND, metavar="N",
+        "--max-ground", type=nonnegative, default=DEFAULT_MAX_GROUND, metavar="N",
         help="maximum ground size accepted (default %(default)s)")
     empty = _option("--allow-empty-premise", action="store_true",
                     help="accept implications with an empty premise")
@@ -250,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = _option("--from", dest="source", choices=("ib", "mi"), default="ib",
                      help="file holds an implicational base or an Mi family")
     max_oracle = _option(
-        "--max-oracle", type=int, default=ORACLE_MAX_GROUND, metavar="N",
+        "--max-oracle", type=nonnegative, default=ORACLE_MAX_GROUND, metavar="N",
         help="ground cap for exhaustive oracle scans (default %(default)s)")
     max_desk = _option(
-        "--max-desk", type=int, default=DESK_MAX_GROUND, metavar="N",
+        "--max-desk", type=nonnegative, default=DESK_MAX_GROUND, metavar="N",
         help="ground cap for closed-set enumeration (default %(default)s)")
     quiet = _option("--quiet", action="store_true", help="suppress chatter")
 
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=ORDER_POLICIES, default=None,
                    help="element order used by the Min procedure "
                         f"(default {ORDER_POLICIES[0]})")
-    p.add_argument("--max-states", type=int, default=None, metavar="N",
+    p.add_argument("--max-states", type=nonnegative, default=None, metavar="N",
                    help="cap on each target's visited set in the traversal")
     p.set_defaults(func=_cmd_dbase)
 
@@ -327,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify a reduction's biconditional by brute force")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--reduction", choices=("acg", "lb"), required=True)
-    p.add_argument("--random", type=int, default=0, metavar="COUNT",
+    p.add_argument("--random", type=nonnegative, default=0, metavar="COUNT",
                    help="verify COUNT random CNFs instead of a file")
     p.add_argument("--vars", type=int, default=8)
     p.add_argument("--clauses", type=int, default=6)
@@ -360,8 +368,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify-sat":
         if not args.random and args.file is None:
             parser.error("verify-sat needs a CNF file or --random COUNT")
-        if args.random < 0:
-            parser.error("--random COUNT must not be negative")
         if args.vars < 3:
             parser.error("--vars must be at least 3 (clauses have 3 variables)")
         if args.clauses < 1:

@@ -1,10 +1,11 @@
 """The closure operators cl and cl^b, standardness, and extreme elements.
 
 A :class:`ClosureContext` wraps one closure system given either by an
-implicational base (closures by forward chaining) or by an intersection
-generating family of closed sets such as the meet-irreducible elements
-(closures by intersecting supersets, the whole ground when none exists).
-Singleton closures are cached eagerly, so ``close_binary`` never re-chains.
+implicational base (closures by :func:`chain`, the one chaining loop) or by
+an intersection generating family of closed sets such as the meet-irreducible
+elements (closures by intersecting supersets, the whole ground when none
+exists).  Singleton closures are cached eagerly, so ``close_binary`` never
+re-chains.
 """
 from __future__ import annotations
 
@@ -15,39 +16,69 @@ _IB = "ib"
 _MI = "mi"
 
 
+def chain(x: int, rules: tuple[tuple[int, int], ...], cover: int) -> int:
+    """Forward chaining: fire every rule (premise bits, mask) whose premise
+    lies in ``x``, adding its mask, until nothing changes or ``x`` covers
+    ``cover``.  Returns ``x`` as it then stands."""
+    grown = x & cover != cover
+    while grown:
+        grown = False
+        for premise, mask in rules:
+            if premise & x == premise and mask & ~x:
+                x |= mask
+                if x & cover == cover:
+                    return x
+                grown = True
+    return x
+
+
 class ClosureContext:
     """Closure operators for one finite closure system.
 
     Immutable after construction; ``close`` and ``close_binary`` are pure and
-    safe for concurrent use.
+    safe for concurrent use.  In IB mode ``empty_closure`` is cl(empty set)
+    and ``rules`` holds a pair (premise bits, cl^b of its conclusions) per
+    premise of two or more elements, where that leaves cl^b(premise).  A
+    cl^b-closed set holding cl(empty set) respects every other implication,
+    so chaining it over ``rules`` reaches its closure.
     """
 
     __slots__ = (
         "ground",
         "source",
         "mode",
-        "_concls",
-        "_sizes",
-        "_watch",
-        "_seed_bits",
+        "rules",
+        "empty_closure",
         "_mi_masks",
         "_singles",
         "_containers",
     )
 
     def __init__(self, source: ImplicationalBase | SetFamily):
-        if isinstance(source, ImplicationalBase):
-            self.mode = _IB
-            self._init_ib(source)
-        elif isinstance(source, SetFamily):
-            self.mode = _MI
-            self._mi_masks = tuple(source.bit_list())
-        else:
-            raise TypeError("source must be an ImplicationalBase or a SetFamily")
         self.ground = source.ground
         self.source = source
         n = len(self.ground)
-        self._singles = [self.close_bits(1 << a) for a in range(n)]
+        if isinstance(source, ImplicationalBase):
+            self.mode = _IB
+            grouped: dict[int, int] = {}
+            for imp in source:
+                pbits = imp.premise.bits
+                grouped[pbits] = grouped.get(pbits, 0) | 1 << imp.conclusion
+            raw = tuple(grouped.items())
+            bottom = self.empty_closure = chain(0, raw, self.full_mask)
+            self._singles = [chain(1 << a | bottom, raw, self.full_mask) for a in range(n)]
+            clb = self.close_binary_bits
+            self.rules = tuple(
+                (pbits, clb(concls))
+                for pbits, concls in raw
+                if pbits.bit_count() >= 2 and clb(concls) & ~clb(pbits)
+            )
+        elif isinstance(source, SetFamily):
+            self.mode = _MI
+            self._mi_masks = tuple(source.bit_list())
+            self._singles = [self.close_bits(1 << a) for a in range(n)]
+        else:
+            raise TypeError("source must be an ImplicationalBase or a SetFamily")
         containers = [0] * n
         for y in range(n):
             for x in iter_bits(self._singles[y]):
@@ -62,27 +93,6 @@ class ClosureContext:
     def from_mi(cls, family: SetFamily) -> "ClosureContext":
         return cls(family)
 
-    def _init_ib(self, ib: ImplicationalBase) -> None:
-        n = len(ib.ground)
-        concls: list[int] = []
-        sizes: list[int] = []
-        watch: list[list[int]] = [[] for _ in range(n)]
-        seed = 0
-        for imp in ib:
-            pbits = imp.premise.bits
-            if pbits == 0:
-                seed |= 1 << imp.conclusion
-                continue
-            j = len(concls)
-            concls.append(imp.conclusion)
-            sizes.append(pbits.bit_count())
-            for e in iter_bits(pbits):
-                watch[e].append(j)
-        self._concls = concls
-        self._sizes = sizes
-        self._watch = [tuple(w) for w in watch]
-        self._seed_bits = seed
-
     def close_bits(self, bits: int) -> int:
         """cl of a raw bitmask."""
         if self.mode == _MI:
@@ -92,22 +102,9 @@ class ClosureContext:
                     out &= m
             full = self.source.ground.full_mask
             return full if out == -1 else out
-        # Counting forward chaining: each implication fires at most once.
-        closed = bits | self._seed_bits
-        counts = list(self._sizes)
-        watch = self._watch
-        concls = self._concls
-        stack = list(iter_bits(closed))
-        while stack:
-            e = stack.pop()
-            for j in watch[e]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    c = concls[j]
-                    if not closed >> c & 1:
-                        closed |= 1 << c
-                        stack.append(c)
-        return closed
+        # cl^b(bits) and cl(empty set) respect every premise of size <= 1.
+        start = self.close_binary_bits(bits) | self.empty_closure
+        return chain(start, self.rules, self.full_mask)
 
     def close_binary_bits(self, bits: int) -> int:
         """cl^b of a raw bitmask: union of cached singleton closures."""

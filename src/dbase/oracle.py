@@ -199,8 +199,8 @@ def closure_rounds(ctx: ClosureContext, aset: ElementSet) -> Iterator[ElementSet
     """The chain A = C0, C1, ... up to cl(A): one round of firing per step.
 
     Only defined for implication-sourced contexts; this is the reference
-    semantics the counting chaining in ``ClosureContext.close`` must agree
-    with.  An empty premise fires in the first round.
+    semantics ``ClosureContext.close`` and its ``chain`` must agree with.
+    An empty premise fires in the first round.
     """
     source = ctx.source
     if not isinstance(source, ImplicationalBase):

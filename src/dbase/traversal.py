@@ -13,9 +13,10 @@ exponentially; ``max_states`` caps it.
 The traversal never materializes Sigma_c: every closure runs in the one
 context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
 :class:`_SolutionGraph`), and the transitions are read off Sigma directly.
-Nearly all the work is closure calls inside Min, so each target's graph keeps
-a memo from every set a Min walk passes through to the walk's result, and
-candidate windows go to Min without a spanning test: every window spans by
+Nearly all the work is Min's removability tests, each one :func:`chain`
+stopped once it reaches the target, so each target's graph keeps a memo from
+every set a Min walk passes through to the walk's result, and candidate
+windows go to Min without a spanning test: every window spans by
 construction.  The memo is cleared whenever it passes ``MEMO_CAP`` entries;
 as only one target's graph is alive at a time, that bounds the whole run.
 :func:`build_reduced_base` and :func:`reduced_context` remain as the
@@ -29,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .closure import ClosureContext, binary_part, is_standard
+from .closure import ClosureContext, binary_part, chain, is_standard
 from .errors import (
     NoDGenerators,
     NotDGenerator,
@@ -206,6 +207,16 @@ class _SolutionGraph:
        expansion of a source B -> d' with d' outside U_c, then d' lies in
        cl(W), and so does c, which is in cl(d').  So windows go to Min
        untested.
+    6. Min tests only cl^b-closed X inside U_c (windows and U_c are, and
+       dropping an extreme element keeps a set so).  With cl(empty set)
+       such an X respects every implication of at most one premise
+       element, so chaining it over the context's rules, each firing a
+       whole cl^b of conclusions, reaches cl(X).  ``rules`` keeps those with
+       premise inside U_c: the others cannot fire while the chain stays in
+       U_c, and a firing that leaves U_c adds some cl(d) with d outside
+       U_c, which holds c.  So the chain covers {c} iff c in cl(X); on the
+       reduced context every rule lies in U_c = ``cover``, and the chain
+       covers U_c iff cl_c(X) = U_c.
 
     By 1 and 3 the windows and Min's extremality tests are the same in both
     contexts, and by 2 the transitions come straight from Sigma.  Windows
@@ -215,7 +226,7 @@ class _SolutionGraph:
     result (see :meth:`min_reduce`), across the target's whole traversal.
     """
 
-    __slots__ = ("ctx", "universe", "cover", "ordering", "transitions", "memo")
+    __slots__ = ("ctx", "universe", "cover", "ordering", "rules", "transitions", "memo")
 
     def __init__(
         self,
@@ -229,6 +240,7 @@ class _SolutionGraph:
         self.universe = universe
         self.cover = cover
         self.ordering = ordering
+        self.rules = tuple(r for r in ctx.rules if r[0] & ~universe == 0)
         groups: dict[int, set[int]] = {}
         for pbits, d in pairs:
             if pbits.bit_count() != 1:
@@ -257,12 +269,12 @@ class _SolutionGraph:
 
         Each step drops the first element of ``ordering`` that is extreme in
         the current set (no other member's singleton closure holds it) and
-        removable (the rest still spans), then rescans from the front; the
-        walk ends when nothing is removable, and returns the minimal
-        elements of what is left.  An element that once fails the
-        removability test stays unremovable (closures only shrink as the set
-        does), so each element is closure-tested at most once: at most 2|U|
-        closure calls per reduction.
+        removable (the rest still spans, by one :func:`chain` over
+        ``rules``, fact 6), then rescans from the front; the walk ends when
+        nothing is removable, and returns the minimal elements of what is
+        left.  An element that once fails the removability test stays
+        unremovable (closures only shrink as the set does), so each element
+        is tested at most once: at most |U| chain tests per reduction.
 
         Every set the walk passes through goes into ``memo`` with the
         result, and a walk stops at its first memo hit.  This is exact
@@ -278,7 +290,7 @@ class _SolutionGraph:
         if kernel is not None:
             return kernel
         ctx = self.ctx
-        close, cover = ctx.close_bits, self.cover
+        rules, cover, bottom = self.rules, self.cover, ctx.empty_closure
         cur = fbits
         walk = [cur]
         dead = 0
@@ -289,7 +301,7 @@ class _SolutionGraph:
                     continue
                 if ctx.containers(x) & cur != bx:
                     continue  # not extreme in the current set; may become so
-                if close(cur & ~bx) & cover == cover:
+                if chain(cur & ~bx | bottom, rules, cover) & cover == cover:
                     cur &= ~bx
                     break
                 dead |= bx

@@ -2,16 +2,20 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
+from dbase import serialize_ib
 from dbase.cli import build_parser, main
+from dbase.gadgets import gen_acyclic_instance, gen_lower_bounded_instance, random_cnf
 
-from conftest import EX1_MI, EX2_IB, EX4_DBASE, EX5_IB, EX6_CNF, EX8_MI
+from conftest import EX1_MI, EX2_IB, EX4_DBASE, EX5_IB, EX6_CNF, EX8_MI, EX9_IB
 
 
 @pytest.fixture
@@ -84,6 +88,63 @@ class TestDBase:
         mi_path.write_text(EX1_MI)
         _, from_mi = run_main(capsys, "dbase", str(mi_path), "--from", "mi")
         assert sorted(from_ib.splitlines()) == sorted(from_mi.splitlines())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dbase", "--max-states", "-1"],
+            ["dbase", "--max-ground", "-5"],
+            ["cdb", "--max-oracle", "-1"],
+            ["oracle", "dbase", "--max-oracle", "-1"],
+            ["mi", "--max-desk", "-1"],
+            ["classify", "--max-desk", "-1"],
+        ],
+    )
+    def test_negative_cap_is_usage_error(self, capsys, ex2_file, argv):
+        # ex2 has a non-binary target, so a negative visited-set cap used to
+        # be reached; the ground caps used to reject every input.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:-2], ex2_file, *argv[-2:]])
+        assert exc.value.code == 2
+        assert f"{argv[-2]}: must not be negative" in capsys.readouterr().err
+
+
+_GADGET_CNF = random_cnf(random.Random(1), 9, 7)
+_PINNED_INPUTS = {
+    "ex9": EX9_IB,
+    "lb": serialize_ib(gen_lower_bounded_instance(_GADGET_CNF)[0]),
+    "acg": serialize_ib(gen_acyclic_instance(_GADGET_CNF)[0]),
+    "ex1-mi": EX1_MI,
+}
+
+# SHA-256 of the exact ``dbase dbase`` stdout, rows in emitted order.
+PINNED_STDOUT = [
+    ("ex9", ["--order", "size-label"],
+     "257e24b3286e466d7640d1dcedfb70d9a36424c96d3f4f74fb00f728d2b1fb04"),
+    ("ex9", ["--order", "natural"],
+     "2f04661a8f738764aa0c36b749e2d5512d532e330c8d5800286eeb03f8d6c368"),
+    ("lb", ["--order", "size-label"],
+     "f23d1027299c20f77152d576b85076068b7d085ecd7b8e2c7cedb4ef042d3dd3"),
+    ("lb", ["--order", "natural"],
+     "f23d1027299c20f77152d576b85076068b7d085ecd7b8e2c7cedb4ef042d3dd3"),
+    ("acg", ["--order", "size-label"],
+     "43d5e79d5a868c43033ad6ae8f4cdc7194646569554cd563a216fcb97caf0922"),
+    ("acg", ["--order", "natural"],
+     "43d5e79d5a868c43033ad6ae8f4cdc7194646569554cd563a216fcb97caf0922"),
+    ("ex1-mi", ["--from", "mi"],
+     "3cbcd5e4abf2e92dc8ab4ab830a69ebeb49c14a2fdaaea4791b8588d3ef1b156"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, flags, digest", PINNED_STDOUT, ids=[f"{n}-{f[-1]}" for n, f, _ in PINNED_STDOUT]
+)
+def test_dbase_stdout_is_pinned(capsys, tmp_path, name, flags, digest):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(_PINNED_INPUTS[name])
+    code, out = run_main(capsys, "dbase", str(path), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOtherCommands:

@@ -30,6 +30,7 @@ from dbase import (
     reduced_context,
     serialize_ib,
 )
+from dbase.closure import chain
 from dbase.errors import (
     NoDGenerators,
     NotDGenerator,
@@ -218,6 +219,36 @@ def test_key_equivalence_property(ib):
             assert (ctx_c.close_bits(sbits) == ubits) == bool(
                 ctx.close_bits(sbits) >> c & 1
             )
+
+
+def _chain_spans(graph: _SolutionGraph, xbits: int) -> bool:
+    # The removability test that ``_SolutionGraph.min_reduce`` makes.
+    bottom = graph.ctx.empty_closure
+    return chain(xbits | bottom, graph.rules, graph.cover) & graph.cover == graph.cover
+
+
+@given(standard_ibs(min_n=1, min_premise=0))
+@settings(max_examples=150, deadline=None)
+def test_chain_test_matches_full_closure(ib):
+    # For every cl^b-closed X inside U_c, the empty set included, the chain
+    # over the graph's rules reaches the cover exactly when a full closure
+    # does: c in cl(X) on the input's context, cl_c(X) = U_c on the reduced.
+    ctx = ClosureContext.from_ib(ib)
+    for c in range(len(ib.ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        rb = build_reduced_base(ib, c, ctx=ctx)
+        ctx_c = reduced_context(rb)
+        on_target = _SolutionGraph.of_target(ctx, c, "size-label")
+        on_reduced = _SolutionGraph.of_reduced(rb, ctx_c)
+        ubits = rb.universe.bits
+        subs = list(iter_bits(ubits))
+        for pick in range(1 << len(subs)):
+            xbits = sum(1 << subs[i] for i in range(len(subs)) if pick >> i & 1)
+            if ctx.close_binary_bits(xbits) != xbits:
+                continue
+            assert _chain_spans(on_target, xbits) == bool(ctx.close_bits(xbits) >> c & 1)
+            assert _chain_spans(on_reduced, xbits) == (ctx_c.close_bits(xbits) == ubits)
 
 
 class TestMinReduce:
@@ -535,6 +566,28 @@ class TestMinMemo:
         rows = list(iter_d_base(ib))
         assert len(rows) == 89
         assert calls[0] <= 12_000
+
+    def test_chain_tests_on_lb_gadget(self, monkeypatch):
+        # Min's removability tests are chains over the target's rules; full
+        # closures are left to the standardness check and has_d_generators.
+        ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+        chains, closures = [0], [0]
+        chain_fn, close = dbase.traversal.chain, ClosureContext.close_bits
+
+        def counting_chain(*args):
+            chains[0] += 1
+            return chain_fn(*args)
+
+        def counting_close(self, bits):
+            closures[0] += 1
+            return close(self, bits)
+
+        monkeypatch.setattr(dbase.traversal, "chain", counting_chain)
+        monkeypatch.setattr(ClosureContext, "close_bits", counting_close)
+        rows = list(iter_d_base(ib))
+        assert len(rows) == 89
+        assert chains[0] <= 12_000
+        assert closures[0] <= 2 * len(ib.ground)
 
 
 class TestStrongConnectivity:
