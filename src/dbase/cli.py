@@ -368,23 +368,23 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify-sat":
         if not args.random and args.file is None:
             parser.error("verify-sat needs a CNF file or --random COUNT")
+        if args.random and args.file is not None:
+            parser.error("verify-sat takes a CNF file or --random COUNT, not both")
         if args.vars < 3:
             parser.error("--vars must be at least 3 (clauses have 3 variables)")
         if args.clauses < 1:
             parser.error("--clauses must be at least 1")
-    if args.command == "dbase" and args.source == "mi":
-        # The Mi route reads no option of the IB route.
-        given = [
-            flag
-            for flag, present in (
+    if getattr(args, "source", None) == "mi":
+        # An Mi family is read by no option of the IB loader or the IB route.
+        unread = [("--allow-empty-premise", args.allow_empty_premise)]
+        if args.command == "dbase":
+            unread += [
                 ("--order", args.order is not None),
                 ("--max-states", args.max_states is not None),
-                ("--allow-empty-premise", args.allow_empty_premise),
-            )
-            if present
-        ]
+            ]
+        given = [flag for flag, present in unread if present]
         if given:
-            parser.error(f"dbase --from mi takes no {', '.join(given)}")
+            parser.error(f"--from mi takes no {', '.join(given)}")
     try:
         return args.func(args)
     except DBaseError as exc:

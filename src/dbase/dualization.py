@@ -24,6 +24,7 @@ from .closure import ClosureContext, binary_part, is_standard
 # traced run wraps ``dbase.dualization.min_spanning_set``.
 from .closure import min_spanning_set  # noqa: F401
 from .errors import (
+    GroundMismatch,
     MalformedGadget,
     NotAntichain,
     NotClosed,
@@ -43,6 +44,10 @@ from .model import (
 
 
 def _check_antichain_of_closed(ctx: ClosureContext, b_plus: SetFamily) -> list[int]:
+    if b_plus.ground != ctx.ground:
+        raise GroundMismatch(
+            f"antichain over {b_plus.ground!r}, base over {ctx.ground!r}"
+        )
     masks = b_plus.bit_list()
     for m in masks:
         if ctx.close_bits(m) != m:

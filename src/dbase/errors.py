@@ -33,6 +33,10 @@ class NonBinaryImplication(DBaseError):
     """An operation restricted to binary implicational bases got a wider one."""
 
 
+class GroundMismatch(DBaseError):
+    """Two inputs that must share a ground set declare different ones."""
+
+
 class NotAntichain(DBaseError):
     """A family expected to be pairwise incomparable has comparable members."""
 

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from .closure import ClosureContext, is_standard
 from .errors import GroundTooLarge, ParseError
-from .lattice import implication_graph_acyclic
+from .lattice import implication_graph_acyclic, longest_path
 from .model import (
     ElementSet,
     GroundSet,
     ImplicationalBase,
-    iter_bits,
     _content_lines,
 )
 from .oracle import ORACLE_MAX_GROUND, BruteForce
@@ -103,21 +101,13 @@ def gen_acyclic_instance(cnf: PositiveCnf) -> tuple[ImplicationalBase, int, int]
     m = len(cnf.clauses)
     clause_labels = [f"_c{i + 1}" for i in range(m + 1)]
     ground = GroundSet(tuple(clause_labels) + cnf.variables.names)
-    offset = m + 1
-
-    def var_bit(v: int) -> int:
-        return 1 << (offset + v)
-
+    offset = m + 1  # a variable's bit in the gadget is its bit shifted by this
     pairs: list[tuple[int, int]] = []
     for i, clause in enumerate(cnf.clauses):
         for v in clause:
-            pairs.append((1 << i | var_bit(v), i + 1))
+            pairs.append((1 << i | 1 << (offset + v), i + 1))
     target = m
-    for pair in conflict_pairs(cnf):
-        shifted = 0
-        for v in iter_bits(pair):
-            shifted |= var_bit(v)
-        pairs.append((shifted, target))
+    pairs.extend((pair << offset, target) for pair in conflict_pairs(cnf))
     return ImplicationalBase.build(ground, pairs), 0, target
 
 
@@ -178,31 +168,6 @@ class ReductionReport:
         return self.biconditional and self.structure_ok
 
 
-def _longest_path_at_most(arcs: Iterable[tuple[int, int]], n: int, limit: int) -> bool:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for c, a in arcs:
-        succ[c].append(a)
-        indeg[a] += 1
-    # Longest-path DP over a topological order; only called on acyclic inputs.
-    order = [v for v in range(n) if indeg[v] == 0]
-    depth = [0] * n
-    seen = 0
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        seen += 1
-        for w in succ[v]:
-            depth[w] = max(depth[w], depth[v] + 1)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    if seen < n:
-        return False  # cyclic
-    return max(depth, default=0) <= limit
-
-
 def verify_reduction(
     cnf: PositiveCnf,
     which: str,
@@ -218,31 +183,28 @@ def verify_reduction(
     assignment_exists = bool(one_in_three_assignments(cnf))
     if which == "acyclic":
         ib, source, target = gen_acyclic_instance(cnf)
-        ctx = ClosureContext.from_ib(ib)
-        brute = BruteForce(ctx, max_ground=max_ground)
-        d_holds = any(
-            g >> source & 1 for g in brute.d_generator_masks(target)
-        )
+    elif which == "lower_bounded":
+        ib, source, target = gen_lower_bounded_instance(cnf)
+    else:
+        raise ValueError(f"unknown reduction {which!r}")
+    ctx = ClosureContext.from_ib(ib)
+    brute = BruteForce(ctx, max_ground=max_ground)
+    d_holds = any(g >> source & 1 for g in brute.d_generator_masks(target))
+    if which == "acyclic":
         checks = {
             "premises_of_size_2": all(len(i.premise) == 2 for i in ib),
             "no_binary_implications": not any(i.is_binary for i in ib),
             "implication_graph_acyclic": implication_graph_acyclic(ib),
         }
-        return ReductionReport("acyclic", d_holds, assignment_exists, checks)
-    if which == "lower_bounded":
-        ib, a, b = gen_lower_bounded_instance(cnf)
-        ctx = ClosureContext.from_ib(ib)
-        brute = BruteForce(ctx, max_ground=max_ground)
-        d_holds = any(g >> a & 1 for g in brute.d_generator_masks(b))
+    else:
         d_rel = brute.d_relation()
-        n = len(ib.ground)
+        depth = longest_path(len(ib.ground), d_rel.arcs)
         var_range = range(len(cnf.variables))
         checks = {
             "standard": is_standard(ctx)[0],
-            "d_relation_acyclic": _longest_path_at_most(d_rel.arcs, n, n),
-            "d_paths_at_most_2": _longest_path_at_most(d_rel.arcs, n, 2),
-            "d_out_of_a_empty": not any(c == a for c, _ in d_rel.arcs),
+            "d_relation_acyclic": depth is not None,
+            "d_paths_at_most_2": depth is not None and depth <= 2,
+            "d_out_of_a_empty": not any(c == source for c, _ in d_rel.arcs),
             "d_out_of_vars_empty": not any(c in var_range for c, _ in d_rel.arcs),
         }
-        return ReductionReport("lower_bounded", d_holds, assignment_exists, checks)
-    raise ValueError(f"unknown reduction {which!r}")
+    return ReductionReport(which, d_holds, assignment_exists, checks)

@@ -6,7 +6,7 @@ lattice and is gated by a desk-scale ground size limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .closure import ClosureContext
 from .errors import GroundTooLarge
@@ -67,14 +67,6 @@ def _minimal_masks(masks: list[int]) -> list[int]:
     return out
 
 
-def _maximal_masks(masks: list[int]) -> list[int]:
-    out: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if not any(m & ~kept == 0 for kept in out):
-            out.append(m)
-    return out
-
-
 def meet_irreducibles(
     ctx: ClosureContext, *, max_ground: int = DESK_MAX_GROUND
 ) -> SetFamily:
@@ -103,8 +95,11 @@ def meet_irreducibles_distributive(binary_ib: ImplicationalBase) -> SetFamily:
 
 def up_arrow(mi: SetFamily, a: int) -> SetFamily:
     """Maximal members of the family omitting ``a`` (the M with a up-arrow M)."""
-    omitting = [m for m in mi.bit_list() if not m >> a & 1]
-    return SetFamily.from_bits(mi.ground, _maximal_masks(omitting)).canonicalize()
+    # The maximal members are the complements of the minimal complements.
+    full = mi.ground.full_mask
+    omitted = [full & ~m for m in mi.bit_list() if not m >> a & 1]
+    maximal = [full & ~m for m in _minimal_masks(omitted)]
+    return SetFamily.from_bits(mi.ground, maximal).canonicalize()
 
 
 def down_arrow(mi: SetFamily, a: int, ctx: ClosureContext) -> SetFamily:
@@ -127,56 +122,40 @@ def delta_relation(mi: SetFamily) -> Relation:
 
 def d_relation(mi: SetFamily, ctx: ClosureContext) -> Relation:
     """c D a: some meet-irreducible M has c up-arrow M down-arrow a."""
+    n = len(mi.ground)
+    downs = [set(down_arrow(mi, a, ctx).bit_list()) for a in range(n)]
     arcs = set()
-    for c in range(len(mi.ground)):
+    for c in range(n):
         ups = up_arrow(mi, c).bit_list()
-        for a in range(len(mi.ground)):
-            if a == c:
-                continue
-            body = ctx.singleton_closure(a) & ~(1 << a)
-            if any(not m >> a & 1 and body & ~m == 0 for m in ups):
-                arcs.add((c, a))
+        arcs.update((c, a) for a in range(n) if a != c and not downs[a].isdisjoint(ups))
     return Relation(mi.ground, arcs)
 
 
-def _digraph_has_cycle(n: int, succ: list[list[int]]) -> bool:
-    color = [0] * n  # 0 unseen, 1 on stack, 2 done
-    for start in range(n):
-        if color[start]:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        color[start] = 1
-        while stack:
-            node, i = stack.pop()
-            if i < len(succ[node]):
-                stack.append((node, i + 1))
-                nxt = succ[node][i]
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-    return False
-
-
-def _relation_has_cycle(rel: Relation) -> bool:
-    n = len(rel.ground)
+def longest_path(n: int, arcs: Iterable[tuple[int, int]]) -> int | None:
+    """Number of arcs on a longest path of the digraph on ``range(n)``, or
+    None if it has a cycle: Kahn's topological order with a depth per node."""
     succ: list[list[int]] = [[] for _ in range(n)]
-    for c, a in rel.arcs:
-        succ[c].append(a)
-    return _digraph_has_cycle(n, succ)
+    indeg = [0] * n
+    for u, v in arcs:
+        succ[u].append(v)
+        indeg[v] += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    depth = [0] * n
+    for u in order:  # grows while it is read
+        for v in succ[u]:
+            depth[v] = max(depth[v], depth[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    if len(order) < n:
+        return None
+    return max(depth, default=0)
 
 
 def implication_graph_acyclic(ib: ImplicationalBase) -> bool:
     """Acyclicity of G(Sigma): arcs a -> c for a in a premise concluding c."""
-    n = len(ib.ground)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    for imp in ib:
-        for a in imp.premise:
-            succ[a].add(imp.conclusion)
-    return not _digraph_has_cycle(n, [sorted(s) for s in succ])
+    arcs = {(a, imp.conclusion) for imp in ib for a in imp.premise}
+    return longest_path(len(ib.ground), arcs) is not None
 
 
 @dataclass(frozen=True)
@@ -192,8 +171,9 @@ def classify(
     """Acyclicity of delta and D (computed from Mi at desk scale) plus G(Sigma)."""
     ctx = ClosureContext.from_ib(ib)
     mi = meet_irreducibles(ctx, max_ground=max_ground)
+    n = len(ib.ground)
     return Classification(
-        is_acyclic=not _relation_has_cycle(delta_relation(mi)),
-        is_lower_bounded=not _relation_has_cycle(d_relation(mi, ctx)),
+        is_acyclic=longest_path(n, delta_relation(mi).arcs) is not None,
+        is_lower_bounded=longest_path(n, d_relation(mi, ctx).arcs) is not None,
         graph_acyclic=implication_graph_acyclic(ib),
     )

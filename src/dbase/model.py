@@ -110,29 +110,6 @@ class ElementSet:
         if self.bits & ~self.ground.full_mask:
             raise ValueError("bits outside the ground set")
 
-    def _check(self, other: "ElementSet") -> None:
-        if self.ground != other.ground:
-            raise ValueError("element sets over different ground sets")
-
-    def __or__(self, other: "ElementSet") -> "ElementSet":
-        self._check(other)
-        return ElementSet(self.ground, self.bits | other.bits)
-
-    def __and__(self, other: "ElementSet") -> "ElementSet":
-        self._check(other)
-        return ElementSet(self.ground, self.bits & other.bits)
-
-    def __sub__(self, other: "ElementSet") -> "ElementSet":
-        self._check(other)
-        return ElementSet(self.ground, self.bits & ~other.bits)
-
-    def __le__(self, other: "ElementSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def __lt__(self, other: "ElementSet") -> bool:
-        return self <= other and self.bits != other.bits
-
     def __contains__(self, pos: int) -> bool:
         return self.bits >> pos & 1 == 1
 

@@ -8,11 +8,11 @@ or scanned, and read a context only through its public surface.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .closure import ClosureContext
-from .errors import GroundTooLarge
-from .model import ElementSet, ImplicationalBase, Relation, SetFamily
+from .errors import GroundMismatch, GroundTooLarge
+from .model import ElementSet, ImplicationalBase, Relation, SetFamily, iter_bits
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,19 +124,19 @@ class BruteForce:
             pairs.extend((m, c) for m in self.d_generator_masks(c))
         return ImplicationalBase.build(self.ctx.ground, pairs).canonicalize()
 
-    def d_relation(self) -> Relation:
+    def _relation(self, generator_masks: Callable[[int], list[int]]) -> Relation:
+        # c R a whenever a lies in some generator of c.
         arcs = set()
         for c in range(self.n):
-            for m in self.d_generator_masks(c):
-                arcs.update((c, a) for a in ElementSet(self.ctx.ground, m))
+            for m in generator_masks(c):
+                arcs.update((c, a) for a in iter_bits(m))
         return Relation(self.ctx.ground, arcs)
 
+    def d_relation(self) -> Relation:
+        return self._relation(self.d_generator_masks)
+
     def delta_relation(self) -> Relation:
-        arcs = set()
-        for c in range(self.n):
-            for m in self.minimal_generator_masks(c):
-                arcs.update((c, a) for a in ElementSet(self.ctx.ground, m))
-        return Relation(self.ctx.ground, arcs)
+        return self._relation(self.minimal_generator_masks)
 
     def closed_masks(self) -> list[int]:
         import numpy as np
@@ -182,6 +182,10 @@ def brute_dual(
 ) -> SetFamily:
     """Dual antichain by scanning every closed set of the binary system."""
     binary_ib.require_binary()
+    if b_plus.ground != binary_ib.ground:
+        raise GroundMismatch(
+            f"antichain over {b_plus.ground!r}, base over {binary_ib.ground!r}"
+        )
     ctx = ClosureContext.from_ib(binary_ib)
     brute = BruteForce(ctx, max_ground=max_ground)
     uppers = b_plus.bit_list()

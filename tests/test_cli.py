@@ -172,6 +172,24 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip().splitlines()[1:] == ["1 2 3", "1 2 4", "1 4 5"]
 
+    @pytest.mark.parametrize("command", [["dualize"], ["oracle", "dual"]])
+    @pytest.mark.parametrize(
+        "names, member", [("x y z", "x y"), ("1 2 3 4 5", "4 5"), ("3 2 1", "3")]
+    )
+    def test_dual_of_antichain_over_other_ground_is_1(
+        self, capsys, tmp_path, command, names, member
+    ):
+        # Masks were read by position, so these printed a dual, crashed or
+        # blamed the wrong set.
+        ib = tmp_path / "chain.ib"
+        ib.write_text("ground: 1 2 3\n1 -> 2\n")
+        fam = tmp_path / "bplus.sf"
+        fam.write_text(f"ground: {names}\n{member}\n")
+        code = main([*command, str(ib), str(fam)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert names in captured.err
+
     def test_relations(self, capsys, tmp_path):
         path = tmp_path / "ex1.mi"
         path.write_text(EX1_MI)
@@ -372,6 +390,34 @@ class TestOptionSurface:
         with pytest.raises(SystemExit) as exc:
             main(["close", ex2_file, "--set", "2 5", "--max-states", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["close", "--set", "2"],
+            ["closeb", "--set", "2"],
+            ["binary-part"],
+            ["oracle", "gens", "-c", "2"],
+            ["oracle", "dgens", "-c", "2"],
+            ["oracle", "cdb"],
+            ["oracle", "dbase"],
+            ["oracle", "drel"],
+        ],
+    )
+    def test_from_mi_rejects_empty_premise_flag(self, capsys, ex8_mi_file, argv):
+        # The flag tunes the IB loader, which an Mi family never reaches.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, ex8_mi_file, "--from", "mi", "--allow-empty-premise"])
+        assert exc.value.code == 2
+        assert "--allow-empty-premise" in capsys.readouterr().err
+
+    def test_verify_sat_file_with_random_is_usage_error(self, capsys, tmp_path):
+        cnf = tmp_path / "ex6.cnf"
+        cnf.write_text(EX6_CNF)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-sat", str(cnf), "--reduction", "lb", "--random", "2"])
+        assert exc.value.code == 2
+        assert "--random" in capsys.readouterr().err
 
     def test_oracle_cdb_honours_max_oracle(self, capsys, tmp_path):
         # 18 elements exceed the default cap of 16.

@@ -34,6 +34,7 @@ from dbase import (
 )
 from dbase.cli import main
 from dbase.errors import (
+    GroundMismatch,
     MalformedGadget,
     NonBinaryImplication,
     NotAntichain,
@@ -273,6 +274,10 @@ class TestEmbedDualization:
             "2 -> 1", "3 -> 2", "3 -> 1", "3 -> _d", "5 -> 4",
             "2 4 -> _d", "1 5 -> _d",
         }
+
+    def test_rejects_antichain_over_other_ground(self, ex5_ib):
+        with pytest.raises(GroundMismatch):
+            embed_dualization(ex5_ib, family("54321", "12"))
 
     def test_full_set_gadget_recovers_empty(self, ex5_ib):
         b_plus = family("12345", "12345")

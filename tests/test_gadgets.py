@@ -125,7 +125,7 @@ class TestOneInThree:
         for _ in range(25):
             cnf = random_cnf(rng, rng.randint(3, 7), rng.randint(1, 5))
             for t in one_in_three_assignments(cnf):
-                assert all(len(t & clause) == 1 for clause in cnf.clauses)
+                assert all((t.bits & clause.bits).bit_count() == 1 for clause in cnf.clauses)
 
     def test_unsatisfiable_instance_gives_empty_list(self):
         cnf = parse_cnf("vars: x y z w\nx y z\nx y w\nx z w\ny z w\n")

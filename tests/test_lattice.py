@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbase import (
     BruteForce,
@@ -22,7 +24,7 @@ from dbase import (
 )
 from dbase.errors import GroundTooLarge, NonBinaryImplication
 from dbase.gadgets import gen_acyclic_instance
-from dbase.lattice import closed_set_masks, implication_graph_acyclic
+from dbase.lattice import closed_set_masks, implication_graph_acyclic, longest_path
 
 from conftest import (
     EX6_CNF,
@@ -191,6 +193,39 @@ class TestRelations:
             assert d_relation(mi, mi_ctx) == brute.d_relation()
             assert delta_relation(mi) == brute.delta_relation()
             assert d_relation(mi, mi_ctx).arcs <= delta_relation(mi).arcs
+
+
+@st.composite
+def digraphs(draw):
+    """A digraph on up to 7 nodes, self-loops and cycles included."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    if n == 0:
+        return 0, set()
+    node = st.integers(min_value=0, max_value=n - 1)
+    return n, draw(st.sets(st.tuples(node, node), max_size=n * n))
+
+
+def longest_simple_path(n, arcs):
+    """Arcs on a longest simple path, or None if some simple path closes
+    into a cycle, by enumerating every simple path."""
+    succ = {u: [v for w, v in arcs if w == u] for u in range(n)}
+    best = 0
+    stack = [[u] for u in range(n)]
+    while stack:
+        path = stack.pop()
+        best = max(best, len(path) - 1)
+        for v in succ[path[-1]]:
+            if v in path:
+                return None
+            stack.append(path + [v])
+    return best
+
+
+@given(digraphs())
+@settings(max_examples=300, deadline=None)
+def test_longest_path_matches_simple_path_enumeration(graph):
+    n, arcs = graph
+    assert longest_path(n, arcs) == longest_simple_path(n, arcs)
 
 
 class TestClassify:
