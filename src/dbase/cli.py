@@ -7,15 +7,13 @@ streams implications as they are produced, one per line, flushed eagerly.
 from __future__ import annotations
 
 import argparse
-import json
-import random
+import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .closure import ClosureContext, binary_part
 from .dualization import dualize_distributive, iter_d_base_from_mi
-from .errors import DBaseError
+from .errors import DBaseError, FileAccessError
 from .gadgets import (
     gen_acyclic_instance,
     gen_lower_bounded_instance,
@@ -52,9 +50,25 @@ from .traversal import ORDER_POLICIES, iter_d_base
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise FileAccessError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileAccessError(
+            f"cannot read {path!r}: not UTF-8 text ({exc.reason})"
+        ) from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise FileAccessError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _load_ib(args: argparse.Namespace, path: str):
@@ -146,6 +160,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_gen_sat(args) -> int:
+    import json
+
     cnf = parse_cnf(_read(args.file))
     if args.reduction == "acg":
         ib, source, target = gen_acyclic_instance(cnf)
@@ -159,11 +175,10 @@ def _cmd_gen_sat(args) -> int:
     }
     text = serialize_ib(ib)
     if args.output:
-        out = Path(args.output)
-        out.write_text(text, encoding="utf-8")
-        sidecar = out.with_suffix(".json")
-        sidecar.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-        _print(f"wrote {out} and {sidecar}", args.quiet)
+        sidecar = os.path.splitext(args.output)[0] + ".json"
+        _write(args.output, text)
+        _write(sidecar, json.dumps(meta, indent=2) + "\n")
+        _print(f"wrote {args.output} and {sidecar}", args.quiet)
     else:
         sys.stdout.write(text)
         sys.stdout.write("# sidecar: " + json.dumps(meta) + "\n")
@@ -173,6 +188,8 @@ def _cmd_gen_sat(args) -> int:
 def _cmd_verify_sat(args) -> int:
     which = {"acg": "acyclic", "lb": "lower_bounded"}[args.reduction]
     if args.random:
+        import random
+
         rng = random.Random(args.seed)
         failures = 0
         for i in range(args.random):

@@ -9,6 +9,10 @@ class DBaseError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class FileAccessError(DBaseError):
+    """A file could not be opened, read as UTF-8 text, or written."""
+
+
 class ParseError(DBaseError):
     """Malformed input text (missing ground line, bad arrow, bad label...)."""
 

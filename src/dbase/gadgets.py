@@ -9,8 +9,7 @@ so they never collide with variable labels.
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closure import ClosureContext, is_standard
 from .errors import GroundTooLarge, ParseError
@@ -26,21 +25,21 @@ from .oracle import ORACLE_MAX_GROUND, BruteForce
 MAX_CNF_VARS = 16
 
 
-@dataclass(frozen=True)
-class PositiveCnf:
-    """A positive 3-CNF: clauses are 3-element subsets of the variables."""
+class PositiveCnf(namedtuple("PositiveCnf", "variables clauses")):
+    """A positive 3-CNF: clauses (a tuple of ElementSets) are 3-element
+    subsets of the variables (a GroundSet)."""
 
-    variables: GroundSet
-    clauses: tuple[ElementSet, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.clauses:
+    def __new__(cls, variables: GroundSet, clauses: tuple[ElementSet, ...]):
+        if not clauses:
             raise ValueError("a positive 3-CNF needs at least one clause")
-        for clause in self.clauses:
-            if clause.ground != self.variables:
+        for clause in clauses:
+            if clause.ground != variables:
                 raise ValueError("clause over a different variable set")
             if len(clause) != 3:
                 raise ValueError(f"clause {clause!r} must have exactly 3 variables")
+        return super().__new__(cls, variables, clauses)
 
 
 def parse_cnf(text: str, *, max_vars: int = MAX_CNF_VARS) -> PositiveCnf:
@@ -148,12 +147,10 @@ def one_in_three_assignments(
     return out
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    reduction: str
-    d_holds: bool
-    assignment_exists: bool
-    checks: dict[str, bool]
+class ReductionReport(
+    namedtuple("ReductionReport", "reduction d_holds assignment_exists checks")
+):
+    __slots__ = ()
 
     @property
     def biconditional(self) -> bool:

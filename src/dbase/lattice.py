@@ -5,8 +5,8 @@ lattice and is gated by a desk-scale ground size limit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .closure import ClosureContext
 from .errors import GroundTooLarge
@@ -158,11 +158,9 @@ def implication_graph_acyclic(ib: ImplicationalBase) -> bool:
     return longest_path(len(ib.ground), arcs) is not None
 
 
-@dataclass(frozen=True)
-class Classification:
-    is_acyclic: bool
-    is_lower_bounded: bool
-    graph_acyclic: bool
+Classification = namedtuple(
+    "Classification", "is_acyclic is_lower_bounded graph_acyclic"
+)
 
 
 def classify(

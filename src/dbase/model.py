@@ -2,7 +2,9 @@
 
 Elements are interned to dense 0-based indices at parse time; every algorithm
 works on indices (int bitmasks), labels appear only at I/O boundaries.  All
-types are immutable after construction and safe to share across threads.
+types are immutable by convention: they are ``__slots__`` classes whose
+attributes are set once in ``__init__`` and never reassigned, so instances are
+safe to hash and to share across threads.  Nothing enforces it at run time.
 
 Text formats
 ------------
@@ -17,8 +19,7 @@ gadget and rejected in user input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     DuplicateGround,
@@ -99,16 +100,24 @@ class GroundSet:
         return ElementSet(self, bits)
 
 
-@dataclass(frozen=True, slots=True)
 class ElementSet:
-    """Immutable subset of a ground set backed by an int bitmask."""
+    """Subset of a ground set backed by an int bitmask."""
 
-    ground: GroundSet
-    bits: int
+    __slots__ = ("ground", "bits")
 
-    def __post_init__(self) -> None:
-        if self.bits & ~self.ground.full_mask:
+    def __init__(self, ground: GroundSet, bits: int):
+        if bits & ~ground.full_mask:
             raise ValueError("bits outside the ground set")
+        self.ground = ground
+        self.bits = bits
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ground == other.ground and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.bits))
 
     def __contains__(self, pos: int) -> bool:
         return self.bits >> pos & 1 == 1
@@ -129,18 +138,28 @@ class ElementSet:
         return "{%s}" % " ".join(self.labels())
 
 
-@dataclass(frozen=True, slots=True)
 class Implication:
     """Unit implication: all of ``premise`` forces ``conclusion``."""
 
-    premise: ElementSet
-    conclusion: int
+    __slots__ = ("premise", "conclusion")
 
-    def __post_init__(self) -> None:
-        if self.conclusion in self.premise:
-            raise ValueError("tautological implication")
-        if not 0 <= self.conclusion < len(self.premise.ground):
+    def __init__(self, premise: ElementSet, conclusion: int):
+        # Range first: a negative conclusion must not reach the shift in
+        # ``ElementSet.__contains__``.
+        if not 0 <= conclusion < len(premise.ground):
             raise ValueError("conclusion outside the ground set")
+        if conclusion in premise:
+            raise ValueError("tautological implication")
+        self.premise = premise
+        self.conclusion = conclusion
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.premise == other.premise and self.conclusion == other.conclusion
+
+    def __hash__(self) -> int:
+        return hash((self.premise, self.conclusion))
 
     @property
     def is_binary(self) -> bool:

@@ -8,14 +8,11 @@ or scanned, and read a context only through its public surface.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .closure import ClosureContext
 from .errors import GroundMismatch, GroundTooLarge
 from .model import ElementSet, ImplicationalBase, Relation, SetFamily, iter_bits
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ORACLE_MAX_GROUND = 16
 # Hard ceiling whatever ``max_ground`` says: each of the three uint32 tables

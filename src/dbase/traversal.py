@@ -26,9 +26,8 @@ and transition code.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator
 
 from .closure import ClosureContext, binary_part, chain, is_standard
 from .errors import (
@@ -126,14 +125,12 @@ def _reduced_pairs(
                 yield pbits, b
 
 
-@dataclass(frozen=True)
-class ReducedBase:
-    """The restriction (U_c, Sigma_c) used to enumerate genD(c)."""
+class ReducedBase(namedtuple("ReducedBase", "target universe base ordering")):
+    """The restriction (U_c, Sigma_c) used to enumerate genD(c): the target
+    (int), U_c (ElementSet), Sigma_c (ImplicationalBase) and the Min order
+    restricted to U_c (tuple of ints)."""
 
-    target: int
-    universe: ElementSet
-    base: ImplicationalBase
-    ordering: tuple[int, ...]
+    __slots__ = ()
 
 
 def build_reduced_base(

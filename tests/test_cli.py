@@ -312,6 +312,49 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    UNUSABLE = {
+        "missing": "cannot read '{p}': No such file or directory",
+        "directory": "cannot read '{p}': Is a directory",
+        "bad-bytes": "cannot read '{p}': not UTF-8 text (invalid start byte)",
+        "bad-stdin": "cannot read '-': not UTF-8 text (invalid start byte)",
+        "gen-sat-output": "cannot write '{p}': No such file or directory",
+        "gen-sat-sidecar": "cannot write '{p}': Is a directory",
+    }
+
+    @pytest.mark.parametrize("case", UNUSABLE)
+    def test_unusable_file_is_1(self, capsys, monkeypatch, tmp_path, case):
+        import io
+
+        cnf = tmp_path / "ex6.cnf"
+        cnf.write_text(EX6_CNF)
+        gen_sat = ["gen-sat", str(cnf), "--reduction", "lb", "-o"]
+        if case == "missing":
+            path = tmp_path / "missing.ib"
+            argv = ["dbase", str(path)]
+        elif case == "directory":
+            path = tmp_path
+            argv = ["dbase", str(path)]
+        elif case == "bad-bytes":
+            path = tmp_path / "bytes.ib"
+            path.write_bytes(b"ground: a\n\xff\n")
+            argv = ["dbase", str(path)]
+        elif case == "bad-stdin":
+            path = "-"
+            stdin = io.TextIOWrapper(io.BytesIO(b"ground: a\n\xff\n"), encoding="utf-8")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            argv = ["dbase", path]
+        elif case == "gen-sat-output":
+            path = tmp_path / "no" / "dir" / "x.ib"
+            argv = gen_sat + [str(path)]
+        else:
+            path = tmp_path / "x.json"
+            path.mkdir()
+            argv = gen_sat + [str(tmp_path / "x.ib")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "dbase: error: " + self.UNUSABLE[case].format(p=path) + "\n"
+
     def test_gadget_generation_roundtrips_through_cli(self, capsys, tmp_path):
         # gen-sat output must be consumable by the other subcommands.
         cnf = tmp_path / "ex6.cnf"

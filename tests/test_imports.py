@@ -1,4 +1,5 @@
-"""Every import in the package modules is used.
+"""Every import in the package modules is used, and ``dbase dbase`` loads
+only what its stream needs.
 
 A stdlib stand-in for a linter's unused-import rule (F401).  ``__init__.py``
 re-exports by design, ``from __future__`` imports are directives, and an
@@ -7,11 +8,16 @@ import whose line carries ``# noqa: F401`` is kept on purpose.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import dbase
+
+from conftest import EX1_MI, EX2_IB
 
 MODULES = sorted(
     p for p in Path(dbase.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -44,3 +50,36 @@ def test_no_unused_import(path):
 def test_guard_sees_an_unused_import():
     source = "import json\nfrom os import path, sep  # keep\nprint(path)\n"
     assert unused_imports(source) == ["json (line 1)", "sep (line 2)"]
+
+
+# Modules the D-base stream does not use: the record types are plain
+# classes, annotations are never evaluated, and the CLI imports json and
+# random only in the commands that need them.
+NOT_ON_THE_STREAM_PATH = (
+    "dataclasses", "inspect", "typing", "json", "random", "pathlib", "numpy",
+)
+
+
+def test_dbase_stream_loads_no_unused_module(tmp_path):
+    ib = tmp_path / "ex2.ib"
+    ib.write_text(EX2_IB)
+    mi = tmp_path / "ex1.mi"
+    mi.write_text(EX1_MI)
+    code = (
+        "import sys\n"
+        "import dbase, dbase.cli\n"
+        f"assert dbase.cli.main(['dbase', {str(ib)!r}]) == 0\n"
+        f"assert dbase.cli.main(['dbase', {str(mi)!r}, '--from', 'mi']) == 0\n"
+        f"names = {NOT_ON_THE_STREAM_PATH!r}\n"
+        "print(' '.join(n for n in names if n in sys.modules), file=sys.stderr)\n"
+    )
+    src = str(Path(dbase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    # -S: site's own start-up imports (some .pth files load typing, random
+    # and pathlib) would otherwise hide what dbase itself loads.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 8 + 8  # eight rows from each route
+    assert done.stderr.split() == []

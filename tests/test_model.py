@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbase import (
+    Classification,
     ElementSet,
     GroundSet,
     Implication,
     ImplicationalBase,
+    PositiveCnf,
+    ReducedBase,
+    ReductionReport,
     Relation,
     parse_ib,
     parse_set_family,
@@ -194,3 +198,120 @@ class TestElementSetValidation:
         ground = GroundSet(["a", "b"])
         with pytest.raises(ValueError):
             Implication(ElementSet(ground, 0b01), 0)
+
+    def test_negative_conclusion_is_outside_the_ground(self):
+        ground = GroundSet(["a", "b"])
+        with pytest.raises(ValueError, match="conclusion outside the ground set"):
+            Implication(ElementSet(ground, 0b01), -1)
+
+
+class _Bits:
+    """A stranger with the same fields as an ElementSet."""
+
+    def __init__(self, ground, bits):
+        self.ground = ground
+        self.bits = bits
+
+
+@st.composite
+def grounds(draw):
+    # Names drawn from a small pool so that distinct GroundSet objects with
+    # equal names, and grounds with different names, both come up.
+    names = draw(st.sampled_from([("a",), ("a", "b"), ("b", "a"), ("a", "b", "c")]))
+    return GroundSet(names)
+
+
+@st.composite
+def element_sets(draw):
+    ground = draw(grounds())
+    return ElementSet(ground, draw(st.integers(0, ground.full_mask)))
+
+
+@st.composite
+def implications(draw):
+    premise = draw(element_sets())
+    free = [i for i in range(len(premise.ground)) if not premise.bits >> i & 1]
+    if not free:
+        premise = ElementSet(premise.ground, 0)
+        free = list(range(len(premise.ground)))
+    return Implication(premise, draw(st.sampled_from(free)))
+
+
+class TestValueSemantics:
+    @given(element_sets(), element_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_element_set_equality_and_hash(self, x, y):
+        same = x.ground.names == y.ground.names and x.bits == y.bits
+        assert (x == y) is same and (x != y) is not same
+        assert hash(x) == hash((x.ground, x.bits))
+        if same:
+            assert hash(x) == hash(y)
+        assert len({x, y}) == (1 if same else 2)
+        assert len({x: 0, y: 1}) == (1 if same else 2)
+
+    @given(implications(), implications())
+    @settings(max_examples=200, deadline=None)
+    def test_implication_equality_and_hash(self, p, q):
+        same = p.premise == q.premise and p.conclusion == q.conclusion
+        assert (p == q) is same and (p != q) is not same
+        assert hash(p) == hash((p.premise, p.conclusion))
+        if same:
+            assert hash(p) == hash(q)
+        assert len({p, q}) == (1 if same else 2)
+        assert len({p: 0, q: 1}) == (1 if same else 2)
+
+    @given(element_sets(), implications())
+    @settings(max_examples=100, deadline=None)
+    def test_other_classes_are_unequal(self, x, p):
+        for other in ((x.ground, x.bits), _Bits(x.ground, x.bits), x.bits, p):
+            assert x != other and other != x
+            assert not x == other
+        for other in ((p.premise, p.conclusion), x, p.conclusion):
+            assert p != other and other != p
+        assert ElementSet.__eq__(x, (x.ground, x.bits)) is NotImplemented
+        assert Implication.__eq__(p, (p.premise, p.conclusion)) is NotImplemented
+
+    @given(element_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_validation_still_raises(self, x):
+        n = len(x.ground)
+        with pytest.raises(ValueError, match="bits outside the ground set"):
+            ElementSet(x.ground, x.bits | 1 << n)
+        with pytest.raises(ValueError, match="conclusion outside the ground set"):
+            Implication(x, n)
+        if x.bits:
+            inside = (x.bits & -x.bits).bit_length() - 1
+            with pytest.raises(ValueError, match="tautological implication"):
+                Implication(x, inside)
+
+
+def test_records_keep_their_fields():
+    ground = GroundSet(["a", "b", "c", "d"])
+    flags = Classification(is_acyclic=True, is_lower_bounded=False, graph_acyclic=True)
+    assert (flags.is_acyclic, flags.is_lower_bounded, flags.graph_acyclic) == (
+        True, False, True)
+    base = ImplicationalBase(ground, [])
+    rb = ReducedBase(target=3, universe=ground.full(), base=base, ordering=(0, 1, 2))
+    assert (rb.target, rb.universe, rb.base, rb.ordering) == (
+        3, ground.full(), base, (0, 1, 2))
+    clause = ground.set_of("abc")
+    cnf = PositiveCnf(variables=ground, clauses=(clause,))
+    assert (cnf.variables, cnf.clauses) == (ground, (clause,))
+
+    report = ReductionReport(
+        reduction="acyclic", d_holds=True, assignment_exists=True, checks={"x": True})
+    assert (report.reduction, report.d_holds, report.assignment_exists) == (
+        "acyclic", True, True)
+    assert report.checks == {"x": True}
+    assert report.biconditional and report.structure_ok and report.ok
+    failed = ReductionReport("acyclic", True, True, {"x": True, "y": False})
+    assert failed.biconditional and not failed.structure_ok and not failed.ok
+    mismatch = ReductionReport("lower_bounded", True, False, {})
+    assert not mismatch.biconditional and mismatch.structure_ok and not mismatch.ok
+
+    with pytest.raises(ValueError, match="at least one clause"):
+        PositiveCnf(ground, ())
+    with pytest.raises(ValueError, match="different variable set"):
+        PositiveCnf(ground, (GroundSet(["a", "b", "c"]).full(),))
+    with pytest.raises(ValueError, match="exactly 3 variables"):
+        PositiveCnf(ground, (ground.set_of("ab"),))
