@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .closure import (
     ClosureContext,
-    binary_context,
     binary_part,
     extreme_elements,
     is_standard,
@@ -63,17 +62,12 @@ from .model import (
 from .oracle import (
     BruteForce,
     brute_canonical_direct_base,
-    brute_d_base,
-    brute_d_generators,
-    brute_d_relation,
     brute_dual,
-    brute_minimal_generators,
 )
 from .traversal import (
     ReducedBase,
     build_reduced_base,
     d_base,
-    element_order,
     enumerate_d_generators,
     has_d_generators,
     is_d_generator,
@@ -97,14 +91,9 @@ __all__ = [
     "ReductionReport",
     "Relation",
     "SetFamily",
-    "binary_context",
     "binary_part",
     "brute_canonical_direct_base",
-    "brute_d_base",
-    "brute_d_generators",
-    "brute_d_relation",
     "brute_dual",
-    "brute_minimal_generators",
     "build_reduced_base",
     "classify",
     "d_base",
@@ -114,7 +103,6 @@ __all__ = [
     "delta_relation",
     "down_arrow",
     "dualize_distributive",
-    "element_order",
     "embed_dualization",
     "enumerate_closed_sets",
     "enumerate_d_generators",

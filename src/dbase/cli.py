@@ -38,14 +38,7 @@ from .model import (
     serialize_relation,
     serialize_set_family,
 )
-from .oracle import (
-    ORACLE_MAX_GROUND,
-    BruteForce,
-    brute_canonical_direct_base,
-    brute_d_base,
-    brute_d_relation,
-    brute_dual,
-)
+from .oracle import ORACLE_MAX_GROUND, BruteForce, brute_dual
 from .traversal import ORDER_POLICIES, iter_d_base
 
 
@@ -112,12 +105,6 @@ def _cmd_binary_part(args) -> int:
 def _cmd_mi(args) -> int:
     ctx = ClosureContext.from_ib(_load_ib(args, args.file))
     _print(serialize_set_family(meet_irreducibles(ctx, max_ground=args.max_desk)))
-    return 0
-
-
-def _cmd_cdb(args) -> int:
-    ctx = ClosureContext.from_ib(_load_ib(args, args.file))
-    _print(serialize_ib(brute_canonical_direct_base(ctx, max_ground=args.max_oracle)))
     return 0
 
 
@@ -222,14 +209,14 @@ def _cmd_oracle(args) -> int:
         )
         return 0
     ctx = _context(args, args.file)
+    brute = BruteForce(ctx, max_ground=args.max_oracle)
     if args.oracle_cmd == "cdb":
-        _print(serialize_ib(brute_canonical_direct_base(ctx, max_ground=args.max_oracle)))
+        _print(serialize_ib(brute.canonical_direct_base()))
     elif args.oracle_cmd == "dbase":
-        _print(serialize_ib(brute_d_base(ctx, max_ground=args.max_oracle)))
+        _print(serialize_ib(brute.d_base()))
     elif args.oracle_cmd == "drel":
-        sys.stdout.write(serialize_relation(brute_d_relation(ctx, max_ground=args.max_oracle)))
-    elif args.oracle_cmd in ("gens", "dgens"):
-        brute = BruteForce(ctx, max_ground=args.max_oracle)
+        sys.stdout.write(serialize_relation(brute.d_relation()))
+    else:
         c = ctx.ground.position(args.element)
         sets = (
             brute.minimal_generators(c)
@@ -309,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cdb", parents=[*ib, max_oracle],
                        help="canonical direct base (exhaustive oracle)")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_cdb)
+    p.set_defaults(func=_cmd_oracle, oracle_cmd="cdb", source="ib")
 
     p = sub.add_parser("dbase", parents=[*ib, source], help="stream the D-base")
     p.add_argument("file")

@@ -158,11 +158,6 @@ def binary_part(ctx: ClosureContext) -> ImplicationalBase:
     return ImplicationalBase.build(ground, pairs).canonicalize()
 
 
-def binary_context(ctx: ClosureContext) -> ClosureContext:
-    """Context whose ``close`` is cl^b of ``ctx`` (the system of its binary part)."""
-    return ClosureContext.from_ib(binary_part(ctx))
-
-
 def is_standard(ctx: ClosureContext) -> tuple[bool, int | None]:
     """Whether cl(a) minus a is closed for every a; returns a violator if not."""
     for a in range(len(ctx.ground)):

@@ -173,9 +173,9 @@ class Implication:
         return (1, tuple(self.premise), self.conclusion)
 
     def format(self) -> str:
+        # An empty premise prints as "-> c", which the parser reads back.
         names = self.premise.ground.names
-        lhs = " ".join(names[i] for i in self.premise)
-        return f"{lhs} -> {names[self.conclusion]}"
+        return " ".join([*(names[i] for i in self.premise), "->", names[self.conclusion]])
 
     def __repr__(self) -> str:
         return f"<{self.format()}>"

@@ -3,8 +3,11 @@
 Everything here enumerates all 2^|U| subsets and exists solely to cross-check
 the real algorithms: the tests, the ``cdb``, ``oracle`` and ``verify-sat``
 commands and ``gadgets.verify_reduction`` use it, neither D-base route does.
-Closure tables are vectorized with numpy, imported only when a table is built
-or scanned, and read a context only through its public surface.
+:class:`BruteForce` is the one entry point of the scans.  Its tables are built
+from the input alone (a context's ``source``, ``ground`` and ``full_mask``),
+never from the context's closure kernel, so they referee that kernel too.
+They are vectorized with numpy, imported only when a table is built or
+scanned.
 """
 from __future__ import annotations
 
@@ -21,7 +24,11 @@ ORACLE_CEILING = 24
 
 
 class BruteForce:
-    """Full closure tables over all subsets, with generator scans on top."""
+    """Full closure tables over all subsets, with generator scans on top.
+
+    ``cl`` is computed from ``ctx.source`` alone, and ``clb`` and the binary
+    rows from the singleton rows of ``cl``; no closure of ``ctx`` is called.
+    """
 
     def __init__(self, ctx: ClosureContext, *, max_ground: int = ORACLE_MAX_GROUND):
         import numpy as np
@@ -65,7 +72,7 @@ class BruteForce:
         clb = np.zeros(len(self.masks), dtype=np.uint32)
         for a in range(self.n):
             abit = np.uint32(1 << a)
-            clb[(self.masks & abit) != 0] |= np.uint32(self.ctx.singleton_closure(a))
+            clb[(self.masks & abit) != 0] |= self.cl[1 << a]
         return clb
 
     def minimal_generator_masks(self, c: int) -> list[int]:
@@ -111,7 +118,7 @@ class BruteForce:
     def _binary_pairs(self) -> list[tuple[int, int]]:
         pairs = []
         for a in range(self.n):
-            rest = self.ctx.singleton_closure(a) & ~(1 << a)
+            rest = int(self.cl[1 << a]) & ~(1 << a)
             pairs.extend((1 << a, c) for c in ElementSet(self.ctx.ground, rest))
         return pairs
 
@@ -141,34 +148,10 @@ class BruteForce:
         return [int(m) for m in eq]
 
 
-def brute_minimal_generators(
-    ctx: ClosureContext, c: int, *, max_ground: int = ORACLE_MAX_GROUND
-) -> list[ElementSet]:
-    return BruteForce(ctx, max_ground=max_ground).minimal_generators(c)
-
-
 def brute_canonical_direct_base(
     ctx: ClosureContext, *, max_ground: int = ORACLE_MAX_GROUND
 ) -> ImplicationalBase:
     return BruteForce(ctx, max_ground=max_ground).canonical_direct_base()
-
-
-def brute_d_generators(
-    ctx: ClosureContext, c: int, *, max_ground: int = ORACLE_MAX_GROUND
-) -> list[ElementSet]:
-    return BruteForce(ctx, max_ground=max_ground).d_generators(c)
-
-
-def brute_d_base(
-    ctx: ClosureContext, *, max_ground: int = ORACLE_MAX_GROUND
-) -> ImplicationalBase:
-    return BruteForce(ctx, max_ground=max_ground).d_base()
-
-
-def brute_d_relation(
-    ctx: ClosureContext, *, max_ground: int = ORACLE_MAX_GROUND
-) -> Relation:
-    return BruteForce(ctx, max_ground=max_ground).d_relation()
 
 
 def brute_dual(

@@ -13,7 +13,12 @@ import pytest
 
 from dbase import serialize_ib
 from dbase.cli import build_parser, main
-from dbase.gadgets import gen_acyclic_instance, gen_lower_bounded_instance, random_cnf
+from dbase.gadgets import (
+    ReductionReport,
+    gen_acyclic_instance,
+    gen_lower_bounded_instance,
+    random_cnf,
+)
 
 from conftest import EX1_MI, EX2_IB, EX4_DBASE, EX5_IB, EX6_CNF, EX8_MI, EX9_IB
 
@@ -163,6 +168,13 @@ class TestOtherCommands:
         code, out = run_main(capsys, "cdb", ex2_file)
         assert code == 0 and len(out.strip().splitlines()) == 13  # ground + 12
 
+    def test_cdb_prints_an_empty_premise_as_a_bare_arrow(self, capsys, tmp_path):
+        path = tmp_path / "f.ib"
+        path.write_text("ground: a b c\n-> a\na b -> c\n")
+        code, out = run_main(capsys, "cdb", str(path), "--allow-empty-premise")
+        assert code == 0
+        assert out == "ground: a b c\nb -> c\n-> a\n"
+
     def test_dualize(self, capsys, tmp_path):
         ib = tmp_path / "ex5.ib"
         ib.write_text(EX5_IB)
@@ -211,6 +223,23 @@ class TestOtherCommands:
         code, out = run_main(capsys, "oracle", "dgens", ex2_file, "-c", "6")
         assert code == 0
         assert out.strip().splitlines() == ["3 4", "3 5", "4 5"]
+
+    def test_oracle_dbase_from_both_sources(self, capsys, ex2_file, tmp_path):
+        mi = tmp_path / "ex1.mi"
+        mi.write_text(EX1_MI)
+        assert run_main(capsys, "oracle", "dbase", ex2_file) == (0, EX4_DBASE)
+        assert run_main(capsys, "oracle", "dbase", str(mi), "--from", "mi") == (
+            0, EX4_DBASE,
+        )
+
+    def test_oracle_drel_equals_relations_d(self, capsys, tmp_path):
+        mi = tmp_path / "ex1.mi"
+        mi.write_text(EX1_MI)
+        code, expected = run_main(capsys, "relations", str(mi), "--d")
+        assert code == 0 and len(expected.splitlines()) == 9
+        assert run_main(capsys, "oracle", "drel", str(mi), "--from", "mi") == (
+            0, expected,
+        )
 
     def test_one_in_three(self, capsys, tmp_path):
         path = tmp_path / "ex6.cnf"
@@ -274,6 +303,24 @@ class TestGenVerifySat:
             "--vars", "5", "--clauses", "3", "--seed", "1",
         )
         assert code == 0 and "5/5 random instances ok" in out
+
+    def test_verify_sat_needs_a_file_or_random(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-sat", "--reduction", "lb"])
+        assert exc.value.code == 2
+        assert "needs a CNF file or --random COUNT" in capsys.readouterr().err
+
+    def test_verify_sat_random_reports_a_failing_instance(self, capsys, monkeypatch):
+        def failing(cnf, which, *, max_ground):
+            return ReductionReport(which, True, True, {"structure": False})
+
+        monkeypatch.setattr("dbase.cli.verify_reduction", failing)
+        code, out = run_main(
+            capsys, "verify-sat", "--reduction", "lb", "--random", "1", "--seed", "1",
+        )
+        assert code == 1
+        assert out.startswith("FAIL on instance 0:\n")
+        assert out.endswith("0/1 random instances ok\n")
 
     @pytest.mark.parametrize(
         "flags",

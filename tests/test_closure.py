@@ -11,7 +11,6 @@ from dbase import (
     ClosureContext,
     ElementSet,
     GroundSet,
-    binary_context,
     binary_part,
     extreme_elements,
     is_standard,
@@ -75,7 +74,7 @@ class TestCloseBinary:
                 assert ctx.close_binary_bits(bits) == bits
 
     def test_binary_context_close_is_clb(self, ex2_ctx):
-        bctx = binary_context(ex2_ctx)
+        bctx = ClosureContext.from_ib(binary_part(ex2_ctx))
         for bits in range(1 << 6):
             assert bctx.close_bits(bits) == ex2_ctx.close_binary_bits(bits)
 
@@ -145,7 +144,7 @@ class TestExtremeElements:
 
 class TestMinSpanningSet:
     def test_binary_context_example(self, ex8_ib):
-        ctx = binary_context(ClosureContext.from_ib(ex8_ib))
+        ctx = ClosureContext.from_ib(binary_part(ClosureContext.from_ib(ex8_ib)))
         g = ctx.ground
         got = min_spanning_set(ctx, g.set_of(["1", "2", "3"]))
         assert got.labels() == ("1", "3")
@@ -156,7 +155,7 @@ class TestMinSpanningSet:
         assert min_spanning_set(ctx, f) == f
 
     def test_distributive_example(self, ex5_ib):
-        ctx = binary_context(ClosureContext.from_ib(ex5_ib))
+        ctx = ClosureContext.from_ib(binary_part(ClosureContext.from_ib(ex5_ib)))
         got = min_spanning_set(ctx, ctx.ground.set_of(["1", "2"]))
         assert got.labels() == ("2",)
 

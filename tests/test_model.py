@@ -139,6 +139,12 @@ class TestSerialize:
         ib = parse_ib("ground: a b\n")
         assert serialize_ib(ib) == "ground: a b\n"
 
+    def test_empty_premise_formats_as_bare_arrow(self):
+        text = "ground: a b c\n-> a\na b -> c\n"
+        ib = parse_ib(text, allow_empty_premise=True)
+        assert [imp.format() for imp in ib] == ["-> a", "a b -> c"]
+        assert parse_ib(serialize_ib(ib), allow_empty_premise=True) == ib.canonicalize()
+
     def test_set_family_roundtrip_with_empty_member(self):
         fam = parse_set_family("ground: 1 2\n1\n.\n")
         again = parse_set_family(serialize_set_family(fam))

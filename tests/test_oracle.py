@@ -18,10 +18,6 @@ from dbase import (
     SetFamily,
     binary_part,
     brute_canonical_direct_base,
-    brute_d_base,
-    brute_d_generators,
-    brute_d_relation,
-    brute_minimal_generators,
     is_d_generator,
     parse_ib,
     serialize_ib,
@@ -35,15 +31,15 @@ from conftest import EX3_CDB, gap_ib_text, labelsets, random_standard_ib
 
 class TestMinimalGenerators:
     def test_element_1(self, ex2_ctx):
-        got = brute_minimal_generators(ex2_ctx, ex2_ctx.ground.position("1"))
+        got = BruteForce(ex2_ctx).minimal_generators(ex2_ctx.ground.position("1"))
         assert labelsets(got) == {"23", "34"}
 
     def test_element_6(self, ex2_ctx):
-        got = brute_minimal_generators(ex2_ctx, ex2_ctx.ground.position("6"))
+        got = BruteForce(ex2_ctx).minimal_generators(ex2_ctx.ground.position("6"))
         assert labelsets(got) == {"23", "25", "34", "35", "45"}
 
     def test_unconcluded_element(self, ex2_ctx):
-        got = brute_minimal_generators(ex2_ctx, ex2_ctx.ground.position("3"))
+        got = BruteForce(ex2_ctx).minimal_generators(ex2_ctx.ground.position("3"))
         assert got == []
 
 
@@ -65,23 +61,23 @@ class TestCanonicalDirectBase:
         ctx = ClosureContext.from_ib(ib)
         cdb = brute_canonical_direct_base(ctx)
         c = ib.ground.position("c")
-        assert len(brute_minimal_generators(ctx, c)) == 2**4
+        assert len(BruteForce(ctx).minimal_generators(c)) == 2**4
         assert len(cdb) == 2**4 + 4
 
 
 class TestDGenerators:
     def test_element_6_excludes_25(self, ex2_ctx):
-        got = brute_d_generators(ex2_ctx, ex2_ctx.ground.position("6"))
+        got = BruteForce(ex2_ctx).d_generators(ex2_ctx.ground.position("6"))
         assert labelsets(got) == {"34", "35", "45"}
 
     def test_distributive_empty(self, ex5_ib):
         ctx = ClosureContext.from_ib(ex5_ib)
         for c in range(5):
-            assert brute_d_generators(ctx, c) == []
+            assert BruteForce(ctx).d_generators(c) == []
 
     def test_solution_graph_example(self, ex9_ib):
         ctx = ClosureContext.from_ib(ex9_ib)
-        got = brute_d_generators(ctx, ex9_ib.ground.position("4"))
+        got = BruteForce(ctx).d_generators(ex9_ib.ground.position("4"))
         assert labelsets(got) == {"157", "167", "168", "27", "36"}
 
 
@@ -94,7 +90,7 @@ class TestRelationsAndDual:
         assert brute.d_relation() == brute.delta_relation()
 
     def test_d_relation_running_example(self, ex2_ctx):
-        rel = brute_d_relation(ex2_ctx)
+        rel = BruteForce(ex2_ctx).d_relation()
         g = ex2_ctx.ground
         pairs = {(g.label(c), g.label(a)) for c, a in rel.arcs}
         assert pairs == {
@@ -137,7 +133,7 @@ class TestSelfConsistency:
                     assert quick == (bits in dgens)
 
     def test_dbase_is_binary_plus_d_rows(self, ex2_ctx):
-        base = brute_d_base(ex2_ctx)
+        base = BruteForce(ex2_ctx).d_base()
         binary = {i.format() for i in base.binary()}
         assert binary == {"2 -> 4", "6 -> 5"}
         for imp in base.nonbinary():
@@ -187,6 +183,21 @@ def test_tables_match_the_context():
             assert [int(m) for m in brute.clb] == [
                 ctx.close_binary_bits(m) for m in range(1 << n)
             ]
+
+
+def test_tables_ignore_the_context_kernel(ex2_ib):
+    # A referee built from the kernel would follow a broken kernel; this one
+    # reads the source alone, so corrupting the cached singleton closures
+    # changes none of its answers.
+    rng = random.Random(71)
+    ibs = [ex2_ib] + [random_standard_ib(rng, max_n=7, max_m=9) for _ in range(10)]
+    for ib in ibs:
+        sound = BruteForce(ClosureContext.from_ib(ib))
+        broken_ctx = ClosureContext.from_ib(ib)
+        broken_ctx._singles = [1 << a for a in range(len(ib.ground))]
+        broken = BruteForce(broken_ctx)
+        assert broken.d_base() == sound.d_base()
+        assert broken.d_relation() == sound.d_relation()
 
 
 def test_numpy_loads_only_when_an_oracle_runs():
