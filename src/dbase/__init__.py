@@ -65,13 +65,17 @@ from .oracle import (
     brute_dual,
 )
 from .traversal import (
-    ReducedBase,
-    build_reduced_base,
     d_base,
     enumerate_d_generators,
     has_d_generators,
     is_d_generator,
     iter_d_base,
+)
+# The paper-level reduced-base reference: importable from here for the
+# tests, but not part of the public API.
+from .traversal import (
+    ReducedBase,
+    build_reduced_base,
     min_reduce,
     neighbors,
     reduced_context,
@@ -87,14 +91,12 @@ __all__ = [
     "Implication",
     "ImplicationalBase",
     "PositiveCnf",
-    "ReducedBase",
     "ReductionReport",
     "Relation",
     "SetFamily",
     "binary_part",
     "brute_canonical_direct_base",
     "brute_dual",
-    "build_reduced_base",
     "classify",
     "d_base",
     "d_base_from_mi",
@@ -116,16 +118,13 @@ __all__ = [
     "iter_d_base_from_mi",
     "meet_irreducibles",
     "meet_irreducibles_distributive",
-    "min_reduce",
     "min_spanning_set",
-    "neighbors",
     "one_in_three_assignments",
     "parse_cnf",
     "parse_ib",
     "parse_set_family",
     "random_cnf",
     "recover_dual_from_dbase",
-    "reduced_context",
     "serialize_cnf",
     "serialize_ib",
     "serialize_relation",

@@ -149,6 +149,12 @@ def _cmd_classify(args) -> int:
 def _cmd_gen_sat(args) -> int:
     import json
 
+    if args.output:
+        sidecar = os.path.splitext(args.output)[0] + ".json"
+        if sidecar == args.output:
+            raise FileAccessError(
+                f"cannot write {args.output!r}: the JSON sidecar would overwrite it"
+            )
     cnf = parse_cnf(_read(args.file))
     if args.reduction == "acg":
         ib, source, target = gen_acyclic_instance(cnf)
@@ -162,7 +168,6 @@ def _cmd_gen_sat(args) -> int:
     }
     text = serialize_ib(ib)
     if args.output:
-        sidecar = os.path.splitext(args.output)[0] + ".json"
         _write(args.output, text)
         _write(sidecar, json.dumps(meta, indent=2) + "\n")
         _print(f"wrote {args.output} and {sidecar}", args.quiet)

@@ -23,14 +23,7 @@ from .closure import ClosureContext, binary_part, is_standard
 # Unused here (spanning sets are read off cl^b directly), but perfbench's
 # traced run wraps ``dbase.dualization.min_spanning_set``.
 from .closure import min_spanning_set  # noqa: F401
-from .errors import (
-    GroundMismatch,
-    MalformedGadget,
-    NotAntichain,
-    NotClosed,
-    NotSpanning,
-    NotStandard,
-)
+from .errors import MalformedGadget, NotSpanning, NotStandard
 from .lattice import _minimal_masks, meet_irreducibles_distributive, up_arrow
 from .model import (
     RESERVED_DUAL_LABEL,
@@ -39,26 +32,9 @@ from .model import (
     Implication,
     ImplicationalBase,
     SetFamily,
+    check_antichain_of_closed,
     iter_bits,
 )
-
-
-def _check_antichain_of_closed(ctx: ClosureContext, b_plus: SetFamily) -> list[int]:
-    if b_plus.ground != ctx.ground:
-        raise GroundMismatch(
-            f"antichain over {b_plus.ground!r}, base over {ctx.ground!r}"
-        )
-    masks = b_plus.bit_list()
-    for m in masks:
-        if ctx.close_bits(m) != m:
-            raise NotClosed(f"{ElementSet(ctx.ground, m)!r} is not closed")
-    for i, m in enumerate(masks):
-        for k in masks[i + 1 :]:
-            if m & ~k == 0 or k & ~m == 0:
-                raise NotAntichain(
-                    f"{ElementSet(ctx.ground, m)!r} and {ElementSet(ctx.ground, k)!r} are comparable"
-                )
-    return masks
 
 
 def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
@@ -77,8 +53,6 @@ def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
         if edge == 0:
             return []
         kept = [t for t in family if t & edge]
-        if len(kept) == len(family):
-            continue
         singles = [ctx.singleton_closure(b) for b in iter_bits(edge)]
         products = {t | s for t in family if not t & edge for s in singles}
         fresh: list[int] = []
@@ -96,7 +70,7 @@ def dualize_distributive(binary_ib: ImplicationalBase, b_plus: SetFamily) -> Set
     ``binary_ib``: the minimal closed sets contained in no member of B+."""
     binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
-    uppers = _check_antichain_of_closed(ctx, b_plus)
+    uppers = check_antichain_of_closed(b_plus, ctx.ground, ctx.close_bits)
     edges = [ctx.full_mask & ~m for m in uppers]
     return SetFamily.from_bits(
         binary_ib.ground, _minimal_transversals(ctx, edges)
@@ -174,7 +148,7 @@ def embed_dualization(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFam
     Mi(cs') = B+ union {M union {_d} | M in Mi(cs)}."""
     binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
-    uppers = _check_antichain_of_closed(ctx, b_plus)
+    uppers = check_antichain_of_closed(b_plus, ctx.ground, ctx.close_bits)
     mi = meet_irreducibles_distributive(binary_ib)
     ground2 = GroundSet(binary_ib.ground.names + (RESERVED_DUAL_LABEL,))
     dbit = 1 << len(binary_ib.ground)

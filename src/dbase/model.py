@@ -19,13 +19,16 @@ gadget and rejected in user input.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import (
     DuplicateGround,
     DuplicateSet,
+    GroundMismatch,
     GroundTooLarge,
     NonBinaryImplication,
+    NotAntichain,
+    NotClosed,
     ParseError,
     UnknownElement,
 )
@@ -290,6 +293,26 @@ class SetFamily:
     def canonicalize(self) -> "SetFamily":
         masks = sorted(set(self.bit_list()), key=lambda m: tuple(iter_bits(m)))
         return SetFamily.from_bits(self.ground, masks)
+
+
+def check_antichain_of_closed(
+    b_plus: SetFamily, ground: GroundSet, close: Callable[[int], int]
+) -> list[int]:
+    """The masks of ``b_plus`` once it is checked to lie over ``ground`` and
+    to be an antichain of sets that ``close`` fixes."""
+    if b_plus.ground != ground:
+        raise GroundMismatch(f"antichain over {b_plus.ground!r}, base over {ground!r}")
+    masks = b_plus.bit_list()
+    for m in masks:
+        if close(m) != m:
+            raise NotClosed(f"{ElementSet(ground, m)!r} is not closed")
+    for i, m in enumerate(masks):
+        for k in masks[i + 1 :]:
+            if m & ~k == 0 or k & ~m == 0:
+                raise NotAntichain(
+                    f"{ElementSet(ground, m)!r} and {ElementSet(ground, k)!r} are comparable"
+                )
+    return masks
 
 
 class Relation:

@@ -14,8 +14,15 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 
 from .closure import ClosureContext
-from .errors import GroundMismatch, GroundTooLarge
-from .model import ElementSet, ImplicationalBase, Relation, SetFamily, iter_bits
+from .errors import GroundTooLarge
+from .model import (
+    ElementSet,
+    ImplicationalBase,
+    Relation,
+    SetFamily,
+    check_antichain_of_closed,
+    iter_bits,
+)
 
 ORACLE_MAX_GROUND = 16
 # Hard ceiling whatever ``max_ground`` says: each of the three uint32 tables
@@ -160,15 +167,15 @@ def brute_dual(
     *,
     max_ground: int = ORACLE_MAX_GROUND,
 ) -> SetFamily:
-    """Dual antichain by scanning every closed set of the binary system."""
+    """Dual antichain by scanning every closed set of the binary system.
+
+    B+ must be an antichain of closed sets, decided from the oracle's own
+    closure table."""
     binary_ib.require_binary()
-    if b_plus.ground != binary_ib.ground:
-        raise GroundMismatch(
-            f"antichain over {b_plus.ground!r}, base over {binary_ib.ground!r}"
-        )
-    ctx = ClosureContext.from_ib(binary_ib)
-    brute = BruteForce(ctx, max_ground=max_ground)
-    uppers = b_plus.bit_list()
+    brute = BruteForce(ClosureContext.from_ib(binary_ib), max_ground=max_ground)
+    uppers = check_antichain_of_closed(
+        b_plus, binary_ib.ground, lambda m: int(brute.cl[m])
+    )
     escaping = [
         m for m in brute.closed_masks() if all(m & ~b for b in uppers)
     ]

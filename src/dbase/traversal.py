@@ -20,9 +20,9 @@ windows go to Min without a spanning test: every window spans by
 construction.  The memo is cleared whenever it passes ``MEMO_CAP`` entries;
 as only one target's graph is alive at a time, that bounds the whole run.
 :func:`build_reduced_base` and :func:`reduced_context` remain as the
-paper-level construction that the tests check the traversal against; run
-through :func:`min_reduce` and :func:`neighbors`, they drive the same Min
-and transition code.
+paper-level construction that the tests check the traversal against, and
+:func:`min_reduce` and :func:`neighbors` run the paper's own Min and N(A)
+on it, with full closures of Sigma_c and no code shared with the traversal.
 """
 from __future__ import annotations
 
@@ -166,9 +166,9 @@ def reduced_context(rb: ReducedBase) -> ClosureContext:
 class _SolutionGraph:
     """One target's solution graph: Min, candidate windows and a Min memo.
 
-    A set X inside U_c spans when cl(X) covers ``cover``.  Run on the input's
-    own context, ``cover`` is {c}; run on the context of (U_c, Sigma_c), it
-    is U_c.  The two readings agree, so the traversal never builds Sigma_c.
+    The graph runs on the input's own context, where a set X inside U_c
+    spans when c is in cl(X).  That is the paper's cl_c(X) = U_c on the
+    reduced base (fact 4), so the traversal never builds Sigma_c.
 
     Let c admit D-generators, i.e. c in cl(U_c), and write cl_c for the
     closure of Sigma_c.  Facts, for X inside U_c:
@@ -198,12 +198,11 @@ class _SolutionGraph:
        Sigma_2, every b in U_c minus cl^b(A); so Y = U_c.
     5. Every window spans.  The window of a spanning A and a transition
        B -> d is W = cl^b((cl^b(A) minus cl^b(d)) union B).  If B -> d is
-       valid (in Sigma_1, or in Sigma_c on the reduced context), then B
-       lies in W, so d and cl^b(d) lie in cl(W); hence cl^b(A) lies in
-       cl(W), and so does cl(A), which covers ``cover``.  If B -> d is an
-       expansion of a source B -> d' with d' outside U_c, then d' lies in
-       cl(W), and so does c, which is in cl(d').  So windows go to Min
-       untested.
+       valid (in Sigma_1), then B lies in W, so d and cl^b(d) lie in
+       cl(W); hence cl^b(A) lies in cl(W), and so does cl(A), which holds
+       c.  If B -> d is an expansion of a source B -> d' with d' outside
+       U_c, then d' lies in cl(W), and so does c, which is in cl(d').  So
+       windows go to Min untested.
     6. Min tests only cl^b-closed X inside U_c (windows and U_c are, and
        dropping an extreme element keeps a set so).  With cl(empty set)
        such an X respects every implication of at most one premise
@@ -211,55 +210,34 @@ class _SolutionGraph:
        whole cl^b of conclusions, reaches cl(X).  ``rules`` keeps those with
        premise inside U_c: the others cannot fire while the chain stays in
        U_c, and a firing that leaves U_c adds some cl(d) with d outside
-       U_c, which holds c.  So the chain covers {c} iff c in cl(X); on the
-       reduced context every rule lies in U_c = ``cover``, and the chain
-       covers U_c iff cl_c(X) = U_c.
+       U_c, which holds c.  So the chain reaches c iff c in cl(X).
 
-    By 1 and 3 the windows and Min's extremality tests are the same in both
-    contexts, and by 2 the transitions come straight from Sigma.  Windows
-    obey cl^b(X union Y) = cl^b(X) | cl^b(Y), so each one is a single OR
-    against a per-conclusion base; duplicates collapse before any Min work.
-    ``memo`` maps every set a Min walk has passed through to the walk's
-    result (see :meth:`min_reduce`), across the target's whole traversal.
+    By 1 and 3 the windows and Min's extremality tests are those of the
+    reduced base, and by 2 the transitions come straight from Sigma.
+    Windows obey cl^b(X union Y) = cl^b(X) | cl^b(Y), so each one is a
+    single OR against a per-conclusion base; duplicates collapse before any
+    Min work.  ``memo`` maps every set a Min walk has passed through to the
+    walk's result (see :meth:`min_reduce`), across the target's whole
+    traversal.
     """
 
-    __slots__ = ("ctx", "universe", "cover", "ordering", "rules", "transitions", "memo")
+    __slots__ = ("ctx", "cbit", "universe", "ordering", "rules", "transitions", "memo")
 
-    def __init__(
-        self,
-        ctx: ClosureContext,
-        universe: int,
-        cover: int,
-        ordering: tuple[int, ...],
-        pairs: Iterable[tuple[int, int]],
-    ):
+    def __init__(self, ctx: ClosureContext, c: int, order: str):
+        universe = restricted_universe(ctx, c).bits
         self.ctx = ctx
+        self.cbit = 1 << c
         self.universe = universe
-        self.cover = cover
-        self.ordering = ordering
+        self.ordering = tuple(a for a in element_order(ctx, order) if universe >> a & 1)
         self.rules = tuple(r for r in ctx.rules if r[0] & ~universe == 0)
         groups: dict[int, set[int]] = {}
-        for pbits, d in pairs:
+        for pbits, d in _reduced_pairs(ctx.source, ctx, universe):
             if pbits.bit_count() != 1:
                 groups.setdefault(d, set()).add(ctx.close_binary_bits(pbits))
         self.transitions = [
             (ctx.singleton_closure(d), tuple(clbs)) for d, clbs in groups.items()
         ]
         self.memo: dict[int, int] = {}
-
-    @classmethod
-    def of_target(cls, ctx: ClosureContext, c: int, order: str) -> "_SolutionGraph":
-        """The graph of genD(c), run on the input's own context."""
-        ubits = restricted_universe(ctx, c).bits
-        ordering = tuple(a for a in element_order(ctx, order) if ubits >> a & 1)
-        return cls(ctx, ubits, 1 << c, ordering, _reduced_pairs(ctx.source, ctx, ubits))
-
-    @classmethod
-    def of_reduced(cls, rb: ReducedBase, ctx_c: ClosureContext) -> "_SolutionGraph":
-        """The same graph, run on the context of (U_c, Sigma_c)."""
-        ubits = rb.universe.bits
-        pairs = ((imp.premise.bits, imp.conclusion) for imp in rb.base)
-        return cls(ctx_c, ubits, ubits, rb.ordering, pairs)
 
     def min_reduce(self, fbits: int) -> int:
         """Greedy Min on a cl^b-closed spanning set; returns D-generator bits.
@@ -287,7 +265,7 @@ class _SolutionGraph:
         if kernel is not None:
             return kernel
         ctx = self.ctx
-        rules, cover, bottom = self.rules, self.cover, ctx.empty_closure
+        rules, cbit, bottom = self.rules, self.cbit, ctx.empty_closure
         cur = fbits
         walk = [cur]
         dead = 0
@@ -298,7 +276,7 @@ class _SolutionGraph:
                     continue
                 if ctx.containers(x) & cur != bx:
                     continue  # not extreme in the current set; may become so
-                if chain(cur & ~bx | bottom, rules, cover) & cover == cover:
+                if chain(cur & ~bx | bottom, rules, cbit) & cbit:
                     cur &= ~bx
                     break
                 dead |= bx
@@ -327,9 +305,6 @@ class _SolutionGraph:
                 out.add(base | clbp)
         return out
 
-    def neighbor_bits(self, abits: int) -> set[int]:
-        return {self.min_reduce(window) for window in self.windows(abits)}
-
     def traverse(self, max_states: int | None = None) -> Iterator[int]:
         """Breadth-first search from Min(U_c), yielding each D-generator of
         the target once.  The solution graph on genD(c) is strongly
@@ -350,7 +325,7 @@ class _SolutionGraph:
                 return
             bits = queue.popleft()
             yield bits
-            fresh = self.neighbor_bits(bits)
+            fresh = {self.min_reduce(w) for w in self.windows(bits)}
 
 
 def min_reduce(rb: ReducedBase, ctx_c: ClosureContext, fset: ElementSet) -> ElementSet:
@@ -358,13 +333,20 @@ def min_reduce(rb: ReducedBase, ctx_c: ClosureContext, fset: ElementSet) -> Elem
     the current cl_c^b-closed set (first in the fixed ordering, removable
     when the remainder still generates U_c), then return the minimal spanning
     set of what is left, a D-generator of the target."""
-    fbits = fset.bits
-    if ctx_c.close_binary_bits(fbits) != fbits:
+    cur = fset.bits
+    ubits = rb.universe.bits
+    if ctx_c.close_binary_bits(cur) != cur:
         raise NotSpanning(f"{fset!r} is not closed under the reduced binary part")
-    if ctx_c.close_bits(fbits) != rb.universe.bits:
+    if ctx_c.close_bits(cur) != ubits:
         raise NotSpanning(f"{fset!r} does not generate the restricted universe")
-    graph = _SolutionGraph.of_reduced(rb, ctx_c)
-    return ElementSet(rb.base.ground, graph.min_reduce(fbits))
+    while True:
+        for x in rb.ordering:
+            bx = 1 << x
+            if ctx_c.containers(x) & cur == bx and ctx_c.close_bits(cur & ~bx) == ubits:
+                cur &= ~bx
+                break
+        else:
+            return ElementSet(rb.base.ground, ctx_c.minimal_elements(cur))
 
 
 def neighbors(rb: ReducedBase, ctx_c: ClosureContext, aset: ElementSet) -> list[ElementSet]:
@@ -374,9 +356,14 @@ def neighbors(rb: ReducedBase, ctx_c: ClosureContext, aset: ElementSet) -> list[
     ubits = rb.universe.bits
     if aset.bits & ~ubits or not _is_key(ctx_c, aset.bits, ubits):
         raise NotDGenerator(f"{aset!r} is not a D-generator of the target")
-    graph = _SolutionGraph.of_reduced(rb, ctx_c)
     ground = rb.base.ground
-    return [ElementSet(ground, b) for b in sorted(graph.neighbor_bits(aset.bits))]
+    clb_a = ctx_c.close_binary_bits(aset.bits)
+    out: set[int] = set()
+    for imp in rb.base.nonbinary():
+        clb_d = ctx_c.close_binary_bits(1 << imp.conclusion)
+        window = ctx_c.close_binary_bits(clb_a & ~clb_d | imp.premise.bits)
+        out.add(min_reduce(rb, ctx_c, ElementSet(ground, window)).bits)
+    return [ElementSet(ground, b) for b in sorted(out)]
 
 
 def enumerate_d_generators(
@@ -387,7 +374,7 @@ def enumerate_d_generators(
     _require_standard(ctx)
     if not has_d_generators(ctx, c):
         return
-    for bits in _SolutionGraph.of_target(ctx, c, order).traverse():
+    for bits in _SolutionGraph(ctx, c, order).traverse():
         yield ElementSet(ib.ground, bits)
 
 
@@ -407,7 +394,7 @@ def iter_d_base(
     for c in range(len(ground)):
         if has_d_generators(ctx, c):
             # The graph, its memo and its visited set die with the loop.
-            for bits in _SolutionGraph.of_target(ctx, c, order).traverse(max_states):
+            for bits in _SolutionGraph(ctx, c, order).traverse(max_states):
                 yield Implication(ElementSet(ground, bits), c)
 
 

@@ -202,6 +202,28 @@ class TestOtherCommands:
         assert code == 1 and captured.out == ""
         assert names in captured.err
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("a b\na\n", "{a} is not closed"),
+            ("a b\na b c d\n", "{a b} and {a b c d} are comparable"),
+        ],
+        ids=["not-closed", "not-antichain"],
+    )
+    def test_dual_commands_reject_the_same_b_plus(self, capsys, tmp_path, family, message):
+        # The oracle used to dualize a B+ that ``dualize`` rejects.
+        ib = tmp_path / "two.ib"
+        ib.write_text("ground: a b c d\na -> b\nc -> d\n")
+        fam = tmp_path / "bplus.sf"
+        fam.write_text("ground: a b c d\n" + family)
+        errors = []
+        for command in (["dualize"], ["oracle", "dual"]):
+            code = main([*command, str(ib), str(fam)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == f"dbase: error: {message}\n"
+
     def test_relations(self, capsys, tmp_path):
         path = tmp_path / "ex1.mi"
         path.write_text(EX1_MI)
@@ -268,6 +290,17 @@ class TestGenVerifySat:
         text = out_ib.read_text()
         assert text.startswith("ground: _c1 _c2 _c3 _c4 1 2 3 4 5")
         assert len(text.strip().splitlines()) == 1 + 16
+
+    def test_gen_sat_output_named_like_its_sidecar_is_1(self, capsys, tmp_path):
+        # The sidecar used to overwrite the IB it was written next to.
+        cnf = tmp_path / "ex6.cnf"
+        cnf.write_text(EX6_CNF)
+        out_json = tmp_path / "inst.json"
+        code = main(["gen-sat", str(cnf), "--reduction", "lb", "-o", str(out_json)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "sidecar would overwrite it" in captured.err
+        assert not out_json.exists()
 
     def test_gen_sat_stdout_has_comment_sidecar(self, capsys, tmp_path):
         cnf = tmp_path / "ex6.cnf"

@@ -224,31 +224,53 @@ def test_key_equivalence_property(ib):
 def _chain_spans(graph: _SolutionGraph, xbits: int) -> bool:
     # The removability test that ``_SolutionGraph.min_reduce`` makes.
     bottom = graph.ctx.empty_closure
-    return chain(xbits | bottom, graph.rules, graph.cover) & graph.cover == graph.cover
+    return bool(chain(xbits | bottom, graph.rules, graph.cbit) & graph.cbit)
 
 
 @given(standard_ibs(min_n=1, min_premise=0))
 @settings(max_examples=150, deadline=None)
 def test_chain_test_matches_full_closure(ib):
     # For every cl^b-closed X inside U_c, the empty set included, the chain
-    # over the graph's rules reaches the cover exactly when a full closure
-    # does: c in cl(X) on the input's context, cl_c(X) = U_c on the reduced.
+    # over the graph's rules reaches c exactly when a full closure does, and
+    # where X spans, the graph's Min agrees with the paper-level Min run on
+    # the reduced base.
     ctx = ClosureContext.from_ib(ib)
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
             continue
         rb = build_reduced_base(ib, c, ctx=ctx)
         ctx_c = reduced_context(rb)
-        on_target = _SolutionGraph.of_target(ctx, c, "size-label")
-        on_reduced = _SolutionGraph.of_reduced(rb, ctx_c)
-        ubits = rb.universe.bits
-        subs = list(iter_bits(ubits))
+        graph = _SolutionGraph(ctx, c, "size-label")
+        subs = list(iter_bits(rb.universe.bits))
         for pick in range(1 << len(subs)):
             xbits = sum(1 << subs[i] for i in range(len(subs)) if pick >> i & 1)
             if ctx.close_binary_bits(xbits) != xbits:
                 continue
-            assert _chain_spans(on_target, xbits) == bool(ctx.close_bits(xbits) >> c & 1)
-            assert _chain_spans(on_reduced, xbits) == (ctx_c.close_bits(xbits) == ubits)
+            spans = bool(ctx.close_bits(xbits) >> c & 1)
+            assert _chain_spans(graph, xbits) == spans
+            if spans:
+                want = min_reduce(rb, ctx_c, ElementSet(ib.ground, xbits))
+                assert graph.min_reduce(xbits) == want.bits
+
+
+@given(standard_ibs(min_n=1, min_premise=0), st.sampled_from(["size-label", "natural"]))
+@settings(max_examples=150, deadline=None)
+def test_neighbors_match_the_graph_windows(ib, order):
+    # N(A) on the reduced base is the set of Min results over the graph's
+    # windows of A, for every D-generator A of every target.
+    ctx = ClosureContext.from_ib(ib)
+    brute = BruteForce(ctx)
+    ground = ib.ground
+    for c in range(len(ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        rb = build_reduced_base(ib, c, order=order, ctx=ctx)
+        ctx_c = reduced_context(rb)
+        graph = _SolutionGraph(ctx, c, order)
+        for abits in brute.d_generator_masks(c):
+            want = sorted({graph.min_reduce(w) for w in graph.windows(abits)})
+            got = neighbors(rb, ctx_c, ElementSet(ground, abits))
+            assert [a.bits for a in got] == want
 
 
 class TestMinReduce:
@@ -513,13 +535,13 @@ def test_walk_memo_is_exact_and_windows_span(ib, order):
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
             continue
-        graph = _SolutionGraph.of_target(ctx, c, order)
+        graph = _SolutionGraph(ctx, c, order)
         gens = list(graph.traverse())
         assert sorted(gens) == sorted(
             i.premise.bits for i in rows if i.conclusion == c and not i.is_binary
         )
         for bits, kernel in graph.memo.items():
-            fresh = _SolutionGraph.of_target(ctx, c, order)
+            fresh = _SolutionGraph(ctx, c, order)
             assert fresh.min_reduce(bits) == kernel
         for abits in gens:
             for window in graph.windows(abits):
@@ -534,14 +556,14 @@ class TestMinMemo:
         for order in ("size-label", "natural"):
             want = [i.format() for i in iter_d_base(ib, order=order)]
             uncapped = {
-                c: list(_SolutionGraph.of_target(ctx, c, order).traverse())
+                c: list(_SolutionGraph(ctx, c, order).traverse())
                 for c in targets
             }
             with monkeypatch.context() as m:
                 m.setattr(dbase.traversal, "MEMO_CAP", 8)
                 got = [i.format() for i in iter_d_base(ib, order=order)]
                 for c in targets:
-                    graph = _SolutionGraph.of_target(ctx, c, order)
+                    graph = _SolutionGraph(ctx, c, order)
                     capped = []
                     for bits in graph.traverse():
                         capped.append(bits)
