@@ -149,6 +149,8 @@ def _cmd_classify(args) -> int:
 def _cmd_gen_sat(args) -> int:
     import json
 
+    if args.output == "-":
+        args.output = None
     if args.output:
         sidecar = os.path.splitext(args.output)[0] + ".json"
         if sidecar == args.output:

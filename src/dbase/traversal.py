@@ -17,7 +17,8 @@ Nearly all the work is Min's removability tests, each one :func:`chain`
 stopped once it reaches the target, so each target's graph keeps a memo from
 every set a Min walk passes through to the walk's result, and candidate
 windows go to Min without a spanning test: every window spans by
-construction.  The memo is cleared whenever it passes ``MEMO_CAP`` entries;
+construction, so every memo key does too, and Min asks the memo before it
+chains.  The memo is cleared whenever it passes ``MEMO_CAP`` entries;
 as only one target's graph is alive at a time, that bounds the whole run.
 :func:`build_reduced_base` and :func:`reduced_context` remain as the
 paper-level construction that the tests check the traversal against, and
@@ -204,9 +205,10 @@ class _SolutionGraph:
        U_c, then d' lies in cl(W), and so does c, which is in cl(d').  So
        windows go to Min untested.
     6. Min tests only cl^b-closed X inside U_c (windows and U_c are, and
-       dropping an extreme element keeps a set so).  With cl(empty set)
+       dropping an extreme element keeps a set so).  Standardness makes
+       cl(empty set) empty (a d in it leaves cl(d) minus d unclosed), so
        such an X respects every implication of at most one premise
-       element, so chaining it over the context's rules, each firing a
+       element, and chaining it over the context's rules, each firing a
        whole cl^b of conclusions, reaches cl(X).  ``rules`` keeps those with
        premise inside U_c: the others cannot fire while the chain stays in
        U_c, and a firing that leaves U_c adds some cl(d) with d outside
@@ -221,14 +223,18 @@ class _SolutionGraph:
     traversal.
     """
 
-    __slots__ = ("ctx", "cbit", "universe", "ordering", "rules", "transitions", "memo")
+    __slots__ = ("ctx", "cbit", "universe", "steps", "rules", "transitions", "memo")
 
     def __init__(self, ctx: ClosureContext, c: int, order: str):
         universe = restricted_universe(ctx, c).bits
         self.ctx = ctx
         self.cbit = 1 << c
         self.universe = universe
-        self.ordering = tuple(a for a in element_order(ctx, order) if universe >> a & 1)
+        self.steps = tuple(
+            (1 << x, ctx.containers(x))
+            for x in element_order(ctx, order)
+            if universe >> x & 1
+        )
         self.rules = tuple(r for r in ctx.rules if r[0] & ~universe == 0)
         groups: dict[int, set[int]] = {}
         for pbits, d in _reduced_pairs(ctx.source, ctx, universe):
@@ -242,46 +248,43 @@ class _SolutionGraph:
     def min_reduce(self, fbits: int) -> int:
         """Greedy Min on a cl^b-closed spanning set; returns D-generator bits.
 
-        Each step drops the first element of ``ordering`` that is extreme in
-        the current set (no other member's singleton closure holds it) and
-        removable (the rest still spans, by one :func:`chain` over
-        ``rules``, fact 6), then rescans from the front; the walk ends when
-        nothing is removable, and returns the minimal elements of what is
-        left.  An element that once fails the removability test stays
-        unremovable (closures only shrink as the set does), so each element
-        is tested at most once: at most |U| chain tests per reduction.
+        Each step drops the first element of ``steps`` (bit, containers)
+        that is extreme in the current set (no other member's singleton
+        closure holds it) and removable (the rest still spans), then
+        rescans from the front; the walk ends when nothing is removable,
+        and returns the minimal elements of what is left.  An element that
+        once fails the removability test stays unremovable (closures only
+        shrink as the set does), so each element is tested at most once.
 
         Every set the walk passes through goes into ``memo`` with the
         result, and a walk stops at its first memo hit.  This is exact
         because the step taken from a set depends on that set alone: an
         element skipped as dead would fail its test again, its closure
         being no larger than when it failed, and the scan always restarts
-        from the front of ``ordering``.  So Min started from any set on the
-        walk makes the same removals from there on and returns the same
-        result.
+        from the front.  So Min started from any set on the walk returns
+        the same result.  Every key spans (a walk starts at U_c or a
+        window, fact 5, and each step passes a test), so a rest that is a
+        key passes; the other tests chain it over ``rules`` (fact 6).
         """
         memo = self.memo
         kernel = memo.get(fbits)
         if kernel is not None:
             return kernel
-        ctx = self.ctx
-        rules, cbit, bottom = self.rules, self.cbit, ctx.empty_closure
+        rules, cbit = self.rules, self.cbit
         cur = fbits
         walk = [cur]
         dead = 0
         while True:
-            for x in self.ordering:
-                bx = 1 << x
-                if not cur & bx or dead & bx:
-                    continue
-                if ctx.containers(x) & cur != bx:
-                    continue  # not extreme in the current set; may become so
-                if chain(cur & ~bx | bottom, rules, cbit) & cbit:
-                    cur &= ~bx
+            for bx, up in self.steps:
+                if up & cur != bx or dead & bx:
+                    continue  # absent, not extreme (may become so) or dead
+                rest = cur ^ bx
+                if rest in memo or chain(rest, rules, cbit) & cbit:
+                    cur = rest
                     break
                 dead |= bx
             else:
-                kernel = ctx.minimal_elements(cur)
+                kernel = self.ctx.minimal_elements(cur)
                 break
             kernel = memo.get(cur)
             if kernel is not None:
@@ -295,14 +298,22 @@ class _SolutionGraph:
 
     def windows(self, abits: int) -> set[int]:
         """The distinct windows cl^b((cl^b(A) minus cl^b(d)) union B) of a
-        spanning A, one per transition B -> d; each spans (fact 5)."""
+        spanning A, one per transition B -> d; each spans (fact 5).  For
+        S = cl^b(A), cl^b(S minus cl^b(d)) lies in S: it is S minus cl^b(d)
+        plus each cut y whose ``containers`` meet S minus cl^b(d)."""
         ctx = self.ctx
+        containers = ctx.containers
         clb_a = ctx.close_binary_bits(abits)
         out: set[int] = set()
         for cl_d, premise_closures in self.transitions:
-            base = ctx.close_binary_bits(clb_a & ~cl_d)
-            for clbp in premise_closures:
-                out.add(base | clbp)
+            cut = clb_a & cl_d
+            base = kept = clb_a ^ cut
+            while cut:
+                low = cut & -cut
+                if containers(low.bit_length() - 1) & kept:
+                    base |= low
+                cut ^= low
+            out.update(map(base.__or__, premise_closures))
         return out
 
     def traverse(self, max_states: int | None = None) -> Iterator[int]:

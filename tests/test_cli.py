@@ -311,6 +311,17 @@ class TestGenVerifySat:
         meta = json.loads(out.rsplit("# sidecar: ", 1)[1])
         assert meta["source"] == "_a" and meta["target"] == "_b"
 
+    def test_gen_sat_output_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
+        # ``-o -`` used to write files named ``-`` and ``-.json``.
+        cnf = tmp_path / "ex6.cnf"
+        cnf.write_text(EX6_CNF)
+        monkeypatch.chdir(tmp_path)
+        code, want = run_main(capsys, "gen-sat", str(cnf), "--reduction", "lb")
+        assert code == 0
+        code, out = run_main(capsys, "gen-sat", str(cnf), "--reduction", "lb", "-o", "-")
+        assert code == 0 and out == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ex6.cnf"]
+
     def test_verify_sat_ok(self, capsys, tmp_path):
         cnf = tmp_path / "ex6.cnf"
         cnf.write_text(EX6_CNF)

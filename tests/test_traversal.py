@@ -180,12 +180,14 @@ class TestBuildReducedBase:
 
 
 @st.composite
-def standard_ibs(draw, min_n=2, min_premise=1):
+def standard_ibs(draw, min_n=2):
+    # Premises are never empty: no IB with one is standard (see
+    # test_an_empty_premise_is_never_standard).
     n = draw(st.integers(min_value=min_n, max_value=7))
     ground = GroundSet([str(i + 1) for i in range(n)])
     pairs = [
         (
-            draw(st.integers(min_value=min_premise, max_value=(1 << n) - 1)),
+            draw(st.integers(min_value=1, max_value=(1 << n) - 1)),
             draw(st.integers(min_value=0, max_value=n - 1)),
         )
         for _ in range(draw(st.integers(min_value=0, max_value=10)))
@@ -193,6 +195,25 @@ def standard_ibs(draw, min_n=2, min_premise=1):
     ib = ImplicationalBase.build(ground, pairs)
     assume(is_standard(ClosureContext.from_ib(ib))[0])
     return ib
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_an_empty_premise_is_never_standard(data):
+    # With an implication empty -> d, d lies in cl(empty set), hence in
+    # cl(d) minus d, which is then not closed.  So cl(empty set) is empty
+    # wherever a solution graph is built, and Min chains the bare set.
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    ground = GroundSet([str(i + 1) for i in range(n)])
+    pair = st.tuples(
+        st.integers(min_value=0, max_value=(1 << n) - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    )
+    d = data.draw(st.integers(min_value=0, max_value=n - 1))
+    ib = ImplicationalBase.build(ground, [(0, d), *data.draw(st.lists(pair, max_size=10))])
+    assert ClosureContext.from_ib(ib).empty_closure >> d & 1
+    with pytest.raises(NotStandard):
+        list(iter_d_base(ib))
 
 
 @given(standard_ibs())
@@ -227,7 +248,7 @@ def _chain_spans(graph: _SolutionGraph, xbits: int) -> bool:
     return bool(chain(xbits | bottom, graph.rules, graph.cbit) & graph.cbit)
 
 
-@given(standard_ibs(min_n=1, min_premise=0))
+@given(standard_ibs(min_n=1))
 @settings(max_examples=150, deadline=None)
 def test_chain_test_matches_full_closure(ib):
     # For every cl^b-closed X inside U_c, the empty set included, the chain
@@ -253,7 +274,7 @@ def test_chain_test_matches_full_closure(ib):
                 assert graph.min_reduce(xbits) == want.bits
 
 
-@given(standard_ibs(min_n=1, min_premise=0), st.sampled_from(["size-label", "natural"]))
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
 @settings(max_examples=150, deadline=None)
 def test_neighbors_match_the_graph_windows(ib, order):
     # N(A) on the reduced base is the set of Min results over the graph's
@@ -522,8 +543,8 @@ class TestDBase:
         assert counts == {"ctx": 1, "standard": 1}
 
 
-# An empty premise and |U| = 1 are allowed here.
-@given(standard_ibs(min_n=1, min_premise=0), st.sampled_from(["size-label", "natural"]))
+# |U| = 1 is allowed here.
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
 @settings(max_examples=150, deadline=None)
 def test_walk_memo_is_exact_and_windows_span(ib, order):
     # The two facts that let Min memoize whole walks and skip a spanning
@@ -610,6 +631,67 @@ class TestMinMemo:
         assert len(rows) == 89
         assert chains[0] <= 12_000
         assert closures[0] <= 2 * len(ib.ground)
+
+
+def _chains_guarded_by_the_memo(m: pytest.MonkeyPatch) -> list[int]:
+    # Make every chain test fail if it is run on a key of the live graph's
+    # memo, which spans and so needs no test; returns a live call count.
+    live: list[_SolutionGraph] = []
+    calls = [0]
+    init, chain_fn = _SolutionGraph.__init__, dbase.traversal.chain
+
+    def tracking_init(self, *args):
+        init(self, *args)
+        live[:] = [self]
+
+    def guarded(x, rules, cover):
+        assert x not in live[0].memo, "chained a set the walk memo holds"
+        calls[0] += 1
+        return chain_fn(x, rules, cover)
+
+    m.setattr(_SolutionGraph, "__init__", tracking_init)
+    m.setattr(dbase.traversal, "chain", guarded)
+    return calls
+
+
+def test_min_never_chains_a_memo_key(monkeypatch):
+    # Without the memo pre-check Min makes 9,019 chain tests here, 3,760 of
+    # them on memo keys.
+    ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+    want = [i.format() for i in iter_d_base(ib)]
+    calls = _chains_guarded_by_the_memo(monkeypatch)
+    assert [i.format() for i in iter_d_base(ib)] == want
+    assert 0 < calls[0] <= 6_000
+
+
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
+@settings(max_examples=150, deadline=None)
+def test_min_never_chains_a_memo_key_property(ib, order):
+    want = list(iter_d_base(ib, order=order))
+    with pytest.MonkeyPatch.context() as m:
+        _chains_guarded_by_the_memo(m)
+        assert list(iter_d_base(ib, order=order)) == want
+
+
+@given(standard_ibs(min_n=1))
+@settings(max_examples=150, deadline=None)
+def test_window_cut_is_the_binary_closure(ib):
+    # windows() closes cl^b(A) minus cl^b(d) by adding the cut elements
+    # whose containers meet the rest; that is cl^b of the rest, for every
+    # D-generator A and every transition.  A transition with the single
+    # premise closure 0 makes its window exactly that base.
+    ctx = ClosureContext.from_ib(ib)
+    brute = BruteForce(ctx)
+    for c in range(len(ib.ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        graph = _SolutionGraph(ctx, c, "size-label")
+        transitions = graph.transitions
+        for abits in brute.d_generator_masks(c):
+            clb_a = ctx.close_binary_bits(abits)
+            for cl_d, _ in transitions:
+                graph.transitions = [(cl_d, (0,))]
+                assert graph.windows(abits) == {ctx.close_binary_bits(clb_a & ~cl_d)}
 
 
 class TestStrongConnectivity:
