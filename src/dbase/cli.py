@@ -7,6 +7,7 @@ streams implications as they are produced, one per line, flushed eagerly.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -257,55 +258,60 @@ def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # One parent per piece of code that reads an option: both file loaders
-    # read --max-ground, the IB loader also --allow-empty-premise.
-    ground = _option(
+# One parent per piece of code that reads an option: both file loaders read
+# --max-ground, the IB loader also --allow-empty-premise.  Each is built when
+# a sub-parser first asks for it.
+_PARENTS = {
+    "ground": lambda: _option(
         "--max-ground", type=nonnegative, default=DEFAULT_MAX_GROUND, metavar="N",
-        help="maximum ground size accepted (default %(default)s)")
-    empty = _option("--allow-empty-premise", action="store_true",
-                    help="accept implications with an empty premise")
-    ib = [ground, empty]
-    source = _option("--from", dest="source", choices=("ib", "mi"), default="ib",
-                     help="file holds an implicational base or an Mi family")
-    max_oracle = _option(
+        help="maximum ground size accepted (default %(default)s)"),
+    "empty": lambda: _option("--allow-empty-premise", action="store_true",
+                             help="accept implications with an empty premise"),
+    "source": lambda: _option("--from", dest="source", choices=("ib", "mi"), default="ib",
+                              help="file holds an implicational base or an Mi family"),
+    "max_oracle": lambda: _option(
         "--max-oracle", type=nonnegative, default=ORACLE_MAX_GROUND, metavar="N",
-        help="ground cap for exhaustive oracle scans (default %(default)s)")
-    max_desk = _option(
+        help="ground cap for exhaustive oracle scans (default %(default)s)"),
+    "max_desk": lambda: _option(
         "--max-desk", type=nonnegative, default=DESK_MAX_GROUND, metavar="N",
-        help="ground cap for closed-set enumeration (default %(default)s)")
-    quiet = _option("--quiet", action="store_true", help="suppress chatter")
+        help="ground cap for closed-set enumeration (default %(default)s)"),
+    "quiet": lambda: _option("--quiet", action="store_true", help="suppress chatter"),
+}
+_IB = ("ground", "empty")
 
-    parser = argparse.ArgumentParser(
-        prog="dbase",
-        description="Closure systems, implicational bases, and D-base computation.",
-    )
-    parser.add_argument("--version", action="version", version=f"dbase {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, binary, text in (("close", False, "closure of a set"),
-                               ("closeb", True, "binary closure of a set")):
-        p = sub.add_parser(name, parents=[*ib, source], help=text)
-        p.add_argument("file")
-        p.add_argument("--set", required=True, help="whitespace-separated labels")
-        p.set_defaults(func=_cmd_close, binary=binary)
+def _add_close(sub, parents, binary: bool = False) -> None:
+    name, text = (("closeb", "binary closure of a set") if binary
+                  else ("close", "closure of a set"))
+    p = sub.add_parser(name, parents=parents(*_IB, "source"), help=text)
+    p.add_argument("file")
+    p.add_argument("--set", required=True, help="whitespace-separated labels")
+    p.set_defaults(func=_cmd_close, binary=binary)
 
-    p = sub.add_parser("binary-part", parents=[*ib, source],
+
+def _add_binary_part(sub, parents) -> None:
+    p = sub.add_parser("binary-part", parents=parents(*_IB, "source"),
                        help="all valid binary implications")
     p.add_argument("file")
     p.set_defaults(func=_cmd_binary_part)
 
-    p = sub.add_parser("mi", parents=[*ib, max_desk],
+
+def _add_mi(sub, parents) -> None:
+    p = sub.add_parser("mi", parents=parents(*_IB, "max_desk"),
                        help="meet-irreducible elements (desk scale)")
     p.add_argument("file")
     p.set_defaults(func=_cmd_mi)
 
-    p = sub.add_parser("cdb", parents=[*ib, max_oracle],
+
+def _add_cdb(sub, parents) -> None:
+    p = sub.add_parser("cdb", parents=parents(*_IB, "max_oracle"),
                        help="canonical direct base (exhaustive oracle)")
     p.add_argument("file")
     p.set_defaults(func=_cmd_oracle, oracle_cmd="cdb", source="ib")
 
-    p = sub.add_parser("dbase", parents=[*ib, source], help="stream the D-base")
+
+def _add_dbase(sub, parents) -> None:
+    p = sub.add_parser("dbase", parents=parents(*_IB, "source"), help="stream the D-base")
     p.add_argument("file")
     # None marks --order as not given, which ``--from mi`` requires.
     p.add_argument("--order", choices=ORDER_POLICIES, default=None,
@@ -315,13 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on each target's visited set in the traversal")
     p.set_defaults(func=_cmd_dbase)
 
-    p = sub.add_parser("dualize", parents=ib,
+
+def _add_dualize(sub, parents) -> None:
+    p = sub.add_parser("dualize", parents=parents(*_IB),
                        help="dual antichain in a distributive system")
     p.add_argument("ib_file")
     p.add_argument("antichain_file")
     p.set_defaults(func=_cmd_dualize)
 
-    p = sub.add_parser("relations", parents=[ground],
+
+def _add_relations(sub, parents) -> None:
+    p = sub.add_parser("relations", parents=parents("ground"),
                        help="delta- or D-relation edge list from Mi")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
@@ -329,12 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--d", dest="which", action="store_const", const="d")
     p.set_defaults(func=_cmd_relations)
 
-    p = sub.add_parser("classify", parents=[*ib, max_desk],
+
+def _add_classify(sub, parents) -> None:
+    p = sub.add_parser("classify", parents=parents(*_IB, "max_desk"),
                        help="acyclic / lower-bounded / graph-acyclic flags")
     p.add_argument("file")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("gen-sat", parents=[quiet],
+
+def _add_gen_sat(sub, parents) -> None:
+    p = sub.add_parser("gen-sat", parents=parents("quiet"),
                        help="generate a reduction instance from a 3-CNF")
     p.add_argument("file")
     p.add_argument("--reduction", choices=("acg", "lb"), required=True)
@@ -342,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="IB file to write (sidecar JSON lands next to it)")
     p.set_defaults(func=_cmd_gen_sat)
 
-    p = sub.add_parser("verify-sat", parents=[max_oracle, quiet],
+
+def _add_verify_sat(sub, parents) -> None:
+    p = sub.add_parser("verify-sat", parents=parents("max_oracle", "quiet"),
                        help="verify a reduction's biconditional by brute force")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--reduction", choices=("acg", "lb"), required=True)
@@ -353,28 +369,82 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed for --random")
     p.set_defaults(func=_cmd_verify_sat)
 
+
+def _add_one_in_three(sub, parents) -> None:
     p = sub.add_parser("one-in-three",
                        help="all 1-in-3 assignments of a positive 3-CNF")
     p.add_argument("file")
     p.set_defaults(func=_cmd_one_in_three)
 
+
+def _add_oracle(sub, parents) -> None:
     p = sub.add_parser("oracle", help="exhaustive reference computations")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
     for name in ("gens", "dgens", "cdb", "dbase", "drel"):
-        op = osub.add_parser(name, parents=[*ib, source, max_oracle])
+        op = osub.add_parser(name, parents=parents(*_IB, "source", "max_oracle"))
         op.add_argument("file")
         if name in ("gens", "dgens"):
             op.add_argument("-c", "--element", required=True)
         op.set_defaults(func=_cmd_oracle)
-    op = osub.add_parser("dual", parents=[*ib, max_oracle])
+    op = osub.add_parser("dual", parents=parents(*_IB, "max_oracle"))
     op.add_argument("file")
     op.add_argument("antichain_file")
     op.set_defaults(func=_cmd_oracle)
+
+
+# Subcommand name -> the function adding its sub-parser, in help order.
+_COMMANDS = {
+    "close": _add_close,
+    "closeb": functools.partial(_add_close, binary=True),
+    "binary-part": _add_binary_part,
+    "mi": _add_mi,
+    "cdb": _add_cdb,
+    "dbase": _add_dbase,
+    "dualize": _add_dualize,
+    "relations": _add_relations,
+    "classify": _add_classify,
+    "gen-sat": _add_gen_sat,
+    "verify-sat": _add_verify_sat,
+    "one-in-three": _add_one_in_three,
+    "oracle": _add_oracle,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  With ``command``, a subcommand name, only its
+    sub-parser and the option parents it reads are built; the top-level usage
+    still lists every subcommand, so its error texts read the same."""
+    built: dict[str, argparse.ArgumentParser] = {}
+
+    def parents(*names: str) -> list[argparse.ArgumentParser]:
+        for name in names:
+            if name not in built:
+                built[name] = _PARENTS[name]()
+        return [built[name] for name in names]
+
+    parser = argparse.ArgumentParser(
+        prog="dbase",
+        description="Closure systems, implicational bases, and D-base computation.",
+    )
+    parser.add_argument("--version", action="version", version=f"dbase {__version__}")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _COMMANDS.values():
+            add(sub, parents)
+    else:
+        # The metavar the full parser derives from its choices.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        _COMMANDS[command](sub, parents)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # No argument, a leading flag (help, version) or an unknown name gets the
+    # full parser, which alone prints the subcommand list.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "verify-sat":
         if not args.random and args.file is None:

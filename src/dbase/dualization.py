@@ -13,9 +13,11 @@ closures cl^b(b) of the edge's elements.  cl^b is a union of singleton
 closures, so every product is closed and the family stays an antichain of
 closed sets; only the new products need absorbing.  One run of the Mi route
 builds the Mi context, checks standardness and takes the binary part once,
-then makes one dualization per element.  Both reduction directions are
-provided; the embedding gadget marks its fresh element with the reserved
-label ``_d``.
+then makes one dualization per element on that same context: the Mi
+context's singleton closures are those of cs^b, so its cl^b is the closure
+of the binary part and no context is built per element.  Both reduction
+directions are provided; the embedding gadget marks its fresh element with
+the reserved label ``_d``.
 """
 from __future__ import annotations
 
@@ -65,12 +67,26 @@ def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
     return family
 
 
-def dualize_distributive(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:
+def dualize_distributive(
+    binary_ib: ImplicationalBase,
+    b_plus: SetFamily,
+    ctx: ClosureContext | None = None,
+) -> SetFamily:
     """The unique antichain dual to ``b_plus`` in the distributive lattice of
-    ``binary_ib``: the minimal closed sets contained in no member of B+."""
-    binary_ib.require_binary()
-    ctx = ClosureContext.from_ib(binary_ib)
-    uppers = check_antichain_of_closed(b_plus, ctx.ground, ctx.close_bits)
+    ``binary_ib``: the minimal closed sets contained in no member of B+.
+
+    Without ``ctx`` the base is checked to be binary and a context is built
+    from it.  A caller that already holds a context whose cl^b is the closure
+    of ``binary_ib`` (the Mi context of a run, for the run's binary part) may
+    pass it; ``binary_ib`` is then trusted to be binary and only the context
+    is used.  Either way B+ is checked to be an antichain of cl^b-closed
+    sets, which for a binary base are its closed sets, since an empty
+    premise is not binary.
+    """
+    if ctx is None:
+        binary_ib.require_binary()
+        ctx = ClosureContext.from_ib(binary_ib)
+    uppers = check_antichain_of_closed(b_plus, ctx.ground, ctx.close_binary_bits)
     edges = [ctx.full_mask & ~m for m in uppers]
     return SetFamily.from_bits(
         binary_ib.ground, _minimal_transversals(ctx, edges)
@@ -92,8 +108,8 @@ def _d_generator_masks(
     ctx: ClosureContext, bp: ImplicationalBase, mi: SetFamily, c: int
 ) -> list[int]:
     # genD(c) as masks, sorted by closure mask; ``ctx`` is the Mi context,
-    # whose singleton closures are those of cs^b.
-    dual = dualize_distributive(bp, up_arrow(mi, c))
+    # whose singleton closures are those of cs^b, so the dualizer runs on it.
+    dual = dualize_distributive(bp, up_arrow(mi, c), ctx)
     cbit = 1 << c
     rest = [m for m in dual.bit_list() if not m & cbit]
     if len(rest) != len(dual) - 1:

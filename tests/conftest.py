@@ -13,6 +13,7 @@ from dbase import (
     ImplicationalBase,
     SetFamily,
     is_standard,
+    meet_irreducibles,
     neighbors,
     parse_ib,
     parse_set_family,
@@ -152,7 +153,7 @@ def gap_mi_text(n: int) -> str:
     lines = ["ground: " + " ".join(names)]
     for i in range(n):
         for drop in ({a[i]}, {a[i], b[i]}, {a[i], b[i], "c"}):
-            lines.append(" ".join(x for x in names if x not in drop))
+            lines.append(" ".join(x for x in names if x not in drop) or ".")
     return "\n".join(lines) + "\n"
 
 
@@ -186,6 +187,22 @@ def random_standard_ib(
         ib = random_ib(rng, n, m)
         if is_standard(ClosureContext.from_ib(ib))[0]:
             return ib
+
+
+def random_standard_mi(rng: random.Random, max_n: int = 9) -> SetFamily:
+    """Mi(cs) of a random standard closure system on 2..max_n elements: the
+    meet-irreducibles of the system a few random sets generate."""
+    while True:
+        n = rng.randint(2, max_n)
+        ground = GroundSet([str(i + 1) for i in range(n)])
+        density = rng.choice((0.3, 0.5, 0.7))
+        masks = [
+            sum(1 << i for i in range(n) if rng.random() < density)
+            for _ in range(rng.randint(1, 2 * n))
+        ]
+        ctx = ClosureContext.from_mi(SetFamily.from_bits(ground, masks))
+        if is_standard(ctx)[0]:
+            return meet_irreducibles(ctx)
 
 
 def random_binary_ib(rng: random.Random, n: int, m: int) -> ImplicationalBase:

@@ -563,6 +563,41 @@ class TestOptionSurface:
         assert out == f"ground: {names}\ne2 -> e3\ne0 e1 -> e2\ne0 e1 -> e3\n"
 
 
+def _option_strings(parser) -> set[str]:
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+class TestLazyParser:
+    """``main`` builds only the named subcommand's parser; it must read the
+    same options and print the same texts as the full parser."""
+
+    @pytest.mark.parametrize("name", sorted(p for p in OPTIONS if " " not in p))
+    def test_lazy_parser_matches_the_full_one(self, name):
+        full = _parsers(build_parser())
+        lazy = _parsers(build_parser(name))
+        assert set(lazy) == {p for p in full if p == name or p.startswith(name + " ")}
+        for path, child in lazy.items():
+            assert _option_strings(child) == _option_strings(full[path])
+            assert child.format_help() == full[path].format_help()
+        # Top-level errors print this usage line.
+        assert build_parser(name).format_usage() == build_parser().format_usage()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dbase", "--help"], ["oracle", "gens", "--help"], ["dbase", "f", "--bogus"],
+         ["close", "f"], ["oracle", "nope", "f"]],
+    )
+    def test_help_and_usage_errors_read_as_from_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as lazy:
+            main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        assert lazy.value.code == full.value.code
+        assert (got.out, got.err) == (want.out, want.err)
+
+
 class TestStdin:
     def test_dash_reads_stdin(self, capsys, monkeypatch):
         import io

@@ -251,6 +251,25 @@ class TestDBaseFromMi:
         assert serialize_ib(ImplicationalBase(ex1_mi.ground, rows).canonicalize()) == EX4_DBASE
         assert counts == {"mi_ctx": 1, "binary_part": 1, "standard": 1}
 
+    @pytest.mark.parametrize("route", ["stream", "d_generators"])
+    def test_one_context_of_any_mode_per_run(self, ex1_mi, monkeypatch, route):
+        # Every element's dualization runs on the run's Mi context.
+        builds = []
+        init = ClosureContext.__init__
+
+        def counting_init(self, source):
+            builds.append(type(source).__name__)
+            init(self, source)
+
+        monkeypatch.setattr(ClosureContext, "__init__", counting_init)
+        if route == "stream":
+            rows = list(iter_d_base_from_mi(ex1_mi))
+            assert serialize_ib(ImplicationalBase(ex1_mi.ground, rows).canonicalize()) == EX4_DBASE
+        else:
+            six = ex1_mi.ground.position("6")
+            assert labelsets(d_generators_from_mi(ex1_mi, six)) == {"34", "35", "45"}
+        assert builds == ["SetFamily"]
+
     def test_streaming_binary_first(self, ex8_mi):
         stream = list(iter_d_base_from_mi(ex8_mi))
         assert [i.format() for i in stream[:2]] == ["3 -> 2", "4 -> 2"]
@@ -348,6 +367,32 @@ class TestRecoverDual:
         plain = parse_ib("ground: 1 2\n1 -> 2\n")
         with pytest.raises(MalformedGadget):
             recover_dual_from_dbase(plain, family("12", "1"))
+
+
+@st.composite
+def standard_mi_families(draw):
+    """Mi(cs) of a standard closure system on 1..7 elements, generated by a
+    drawn family of sets."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    ground = GroundSet([str(i + 1) for i in range(n)])
+    masks = draw(st.lists(st.integers(min_value=0, max_value=ground.full_mask), max_size=10))
+    ctx = ClosureContext.from_mi(SetFamily.from_bits(ground, masks))
+    assume(is_standard(ctx)[0])
+    return meet_irreducibles(ctx)
+
+
+@given(standard_mi_families())
+@settings(max_examples=200, deadline=None)
+def test_dualize_on_the_mi_context_matches_a_fresh_context_property(mi):
+    # The Mi context's cl^b is the closure of the binary part, so handing it
+    # to the dualizer changes nothing; grounds of 7 elements are in oracle range.
+    ctx = ClosureContext.from_mi(mi)
+    bp = binary_part(ctx)
+    for c in range(len(mi.ground)):
+        b_plus = up_arrow(mi, c)
+        got = dualize_distributive(bp, b_plus, ctx)
+        assert got == dualize_distributive(bp, b_plus)
+        assert got == brute_dual(bp, b_plus)
 
 
 class TestCrossRouteAgreement:

@@ -2,7 +2,10 @@
 
 The digests were computed before the cycle and antichain helpers of
 ``dbase.lattice`` were merged; the merge must not change a single flag,
-arrow or report.  A deliberate change of output updates the digest here.
+arrow or report.  The stream digests cover both D-base routes row by row,
+row order included, so a faster dualizer or traversal must emit exactly the
+same rows in the same order.  A deliberate change of output updates the
+digest here.
 """
 from __future__ import annotations
 
@@ -12,18 +15,24 @@ import random
 from dbase import (
     ClosureContext,
     classify,
+    iter_d_base,
+    iter_d_base_from_mi,
     meet_irreducibles,
+    parse_set_family,
     random_cnf,
+    serialize_ib,
     serialize_set_family,
     up_arrow,
     verify_reduction,
 )
 from dbase.lattice import implication_graph_acyclic
 
-from conftest import random_ib
+from conftest import gap_mi_text, random_ib, random_standard_ib, random_standard_mi
 
 CLASSIFY_SHA256 = "fb98913f7eddaeb65f04e85472adeff680ccec998143fbcff8871e43f8cd09f8"
 REPORTS_SHA256 = "c1f0edc1c80b1b96390d15253e259652bd7107480884cf4c5801dd700aa5f035"
+MI_STREAM_SHA256 = "0657d61c4bc137c8803c1153e6f66bdc6080ad0cd79ea57efd44d9cfa2b173e2"
+IB_STREAM_SHA256 = "d76c39360ed80411874ab9bda495818a3ab5e6a42a42294569106c53c66c44b2"
 
 
 def _classify_lines():
@@ -48,6 +57,25 @@ def _report_lines():
             yield f"{report.reduction} {report.d_holds} {report.assignment_exists} {checks}"
 
 
+def _mi_stream_lines():
+    families = [parse_set_family(gap_mi_text(n)) for n in range(1, 11)]
+    rng = random.Random(1111)
+    families += [random_standard_mi(rng) for _ in range(100)]
+    for mi in families:
+        yield serialize_set_family(mi)
+        yield from (imp.format() for imp in iter_d_base_from_mi(mi))
+
+
+def _ib_stream_lines():
+    rng = random.Random(1112)
+    for _ in range(100):
+        ib = random_standard_ib(rng)
+        yield serialize_ib(ib)
+        for order in ("size-label", "natural"):
+            yield order
+            yield from (imp.format() for imp in iter_d_base(ib, order=order))
+
+
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -58,3 +86,11 @@ def test_classify_and_arrows_unchanged():
 
 def test_reduction_reports_unchanged():
     assert _digest(_report_lines()) == REPORTS_SHA256
+
+
+def test_mi_route_stream_unchanged():
+    assert _digest(_mi_stream_lines()) == MI_STREAM_SHA256
+
+
+def test_ib_route_stream_unchanged():
+    assert _digest(_ib_stream_lines()) == IB_STREAM_SHA256
