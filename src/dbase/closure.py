@@ -36,11 +36,11 @@ class ClosureContext:
     """Closure operators for one finite closure system.
 
     Immutable after construction; ``close`` and ``close_binary`` are pure and
-    safe for concurrent use.  In IB mode ``empty_closure`` is cl(empty set)
-    and ``rules`` holds a pair (premise bits, cl^b of its conclusions) per
-    premise of two or more elements, where that leaves cl^b(premise).  A
-    cl^b-closed set holding cl(empty set) respects every other implication,
-    so chaining it over ``rules`` reaches its closure.
+    safe for concurrent use.  In IB mode ``rules`` holds a pair (premise
+    bits, cl^b of its conclusions) per premise that is not a singleton, where
+    that leaves cl^b(premise); an empty premise is one such rule and fires at
+    once.  A cl^b-closed set respects every singleton premise, so chaining it
+    over ``rules`` reaches its closure.
     """
 
     __slots__ = (
@@ -48,7 +48,6 @@ class ClosureContext:
         "source",
         "mode",
         "rules",
-        "empty_closure",
         "_mi_masks",
         "_singles",
         "_containers",
@@ -65,13 +64,12 @@ class ClosureContext:
                 pbits = imp.premise.bits
                 grouped[pbits] = grouped.get(pbits, 0) | 1 << imp.conclusion
             raw = tuple(grouped.items())
-            bottom = self.empty_closure = chain(0, raw, self.full_mask)
-            self._singles = [chain(1 << a | bottom, raw, self.full_mask) for a in range(n)]
+            self._singles = [chain(1 << a, raw, self.full_mask) for a in range(n)]
             clb = self.close_binary_bits
             self.rules = tuple(
                 (pbits, clb(concls))
                 for pbits, concls in raw
-                if pbits.bit_count() >= 2 and clb(concls) & ~clb(pbits)
+                if pbits.bit_count() != 1 and clb(concls) & ~clb(pbits)
             )
         elif isinstance(source, SetFamily):
             self.mode = _MI
@@ -96,15 +94,12 @@ class ClosureContext:
     def close_bits(self, bits: int) -> int:
         """cl of a raw bitmask."""
         if self.mode == _MI:
-            out = -1
+            out = self.ground.full_mask
             for m in self._mi_masks:
                 if bits & ~m == 0:
                     out &= m
-            full = self.source.ground.full_mask
-            return full if out == -1 else out
-        # cl^b(bits) and cl(empty set) respect every premise of size <= 1.
-        start = self.close_binary_bits(bits) | self.empty_closure
-        return chain(start, self.rules, self.full_mask)
+            return out
+        return chain(self.close_binary_bits(bits), self.rules, self.full_mask)
 
     def close_binary_bits(self, bits: int) -> int:
         """cl^b of a raw bitmask: union of cached singleton closures."""

@@ -177,9 +177,12 @@ def recover_dual_from_dbase(
 ) -> SetFamily:
     """Recover B- from the gadget's D-base and meet-irreducibles.
 
-    Closures of the non-binary premises concluding the fresh element give most
-    of B-; the rest are closures of the cl'^b-minimal elements a with the
-    fresh element in cl'(a) not covered by any such premise.
+    ``dbase_prime`` must be the whole D-base of the gadget, binary rows
+    included.  B- is the set of minimal closures cl'(P), less the fresh
+    element, over the rows P -> fresh element.  The D-basis is ordered
+    direct, so a minimal closed set X whose closure gains the fresh element
+    gains it from one row whose premise lies in X, and X is that premise's
+    closure.
     """
     ground2 = dbase_prime.ground
     if ground2 != mi_prime.ground:
@@ -189,25 +192,10 @@ def recover_dual_from_dbase(
     d = ground2.position(RESERVED_DUAL_LABEL)
     dbit = 1 << d
     ctx = ClosureContext.from_mi(mi_prime)
-    keys = [
-        imp.premise.bits
-        for imp in dbase_prime
-        if imp.conclusion == d and not imp.is_binary
-    ]
-    if any(k & dbit for k in keys):
-        raise MalformedGadget("a premise concluding the fresh element contains it")
-    recovered = {ctx.close_bits(k) & ~dbit for k in keys}
-    candidates = [
-        a
-        for a in range(len(ground2))
-        if a != d
-        and ctx.singleton_closure(a) & dbit
-        and all(k & ~ctx.singleton_closure(a) for k in keys)
-    ]
-    minimal_closures = _minimal_masks([ctx.singleton_closure(a) for a in candidates])
-    recovered.update(m & ~dbit for m in minimal_closures)
+    closures = [ctx.close_bits(i.premise.bits) for i in dbase_prime if i.conclusion == d]
+    recovered = _minimal_masks([m & ~dbit for m in closures])
     names = tuple(n for n in ground2.names if n != RESERVED_DUAL_LABEL)
     ground = GroundSet(names)
     low = dbit - 1
-    remapped = [(m & low) | ((m >> 1) & ~low) for m in sorted(recovered)]
+    remapped = [(m & low) | ((m >> 1) & ~low) for m in recovered]
     return SetFamily.from_bits(ground, remapped).canonicalize()

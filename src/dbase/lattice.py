@@ -33,7 +33,6 @@ def closed_set_masks(ctx: ClosureContext) -> Iterator[int]:
     yield current
     full = ctx.full_mask
     while current != full:
-        found = False
         work = current
         for i in range(n - 1, -1, -1):
             bit = 1 << i
@@ -43,9 +42,8 @@ def closed_set_masks(ctx: ClosureContext) -> Iterator[int]:
                 candidate = ctx.close_bits(work | bit)
                 if not (candidate & ~work) & (bit - 1):
                     current = candidate
-                    found = True
                     break
-        if not found:
+        else:
             return
         yield current
 
@@ -77,9 +75,13 @@ def meet_irreducibles(
     for mask in closed_set_masks(ctx):
         if mask == full:
             continue
-        # Upper covers are the minimal closures obtained by one-element jumps.
-        above = [ctx.close_bits(mask | 1 << a) for a in iter_bits(full & ~mask)]
-        if len(_minimal_masks(above)) == 1:
+        # M is meet-irreducible exactly when the meet of its one-element
+        # extensions cl(M + a) is not M: a unique upper cover lies inside
+        # every extension, and two distinct upper covers meet in M.
+        meet = full
+        for a in iter_bits(full & ~mask):
+            meet &= ctx.close_bits(mask | 1 << a)
+        if meet != mask:
             mis.append(mask)
     return SetFamily.from_bits(ctx.ground, mis).canonicalize()
 

@@ -23,7 +23,9 @@ as only one target's graph is alive at a time, that bounds the whole run.
 :func:`build_reduced_base` and :func:`reduced_context` remain as the
 paper-level construction that the tests check the traversal against, and
 :func:`min_reduce` and :func:`neighbors` run the paper's own Min and N(A)
-on it, with full closures of Sigma_c and no code shared with the traversal.
+on it.  The reference shares ``_reduced_pairs`` (Sigma_c read off Sigma),
+the element order, U_c, the D-generator test and the standardness check
+with the traversal; its Min, N(A) and closures of Sigma_c are its own.
 """
 from __future__ import annotations
 
@@ -205,14 +207,14 @@ class _SolutionGraph:
        U_c, then d' lies in cl(W), and so does c, which is in cl(d').  So
        windows go to Min untested.
     6. Min tests only cl^b-closed X inside U_c (windows and U_c are, and
-       dropping an extreme element keeps a set so).  Standardness makes
-       cl(empty set) empty (a d in it leaves cl(d) minus d unclosed), so
-       such an X respects every implication of at most one premise
-       element, and chaining it over the context's rules, each firing a
-       whole cl^b of conclusions, reaches cl(X).  ``rules`` keeps those with
-       premise inside U_c: the others cannot fire while the chain stays in
-       U_c, and a firing that leaves U_c adds some cl(d) with d outside
-       U_c, which holds c.  So the chain reaches c iff c in cl(X).
+       dropping an extreme element keeps a set so).  Such an X respects
+       every one-element premise, and standardness rules out an empty
+       premise (an empty -> d leaves cl(d) minus d unclosed), so chaining
+       X over the context's rules, each firing a whole cl^b of conclusions,
+       reaches cl(X).  ``rules`` keeps those with premise inside U_c: the
+       others cannot fire while the chain stays in U_c, and a firing that
+       leaves U_c adds some cl(d) with d outside U_c, which holds c.  So the
+       chain reaches c iff c in cl(X).
 
     By 1 and 3 the windows and Min's extremality tests are those of the
     reduced base, and by 2 the transitions come straight from Sigma.

@@ -386,6 +386,30 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1 and "error" in captured.err
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("dbase", "ground: a .\n", "invalid element label '.'"),
+            ("dbase", "ground: a a->b\n", "invalid element label 'a->b'"),
+            ("one-in-three", "1 2 3\n", "first line must start with 'vars:'"),
+            ("one-in-three", "vars:\n1 2 3\n", "vars line declares no variables"),
+        ],
+    )
+    def test_rejected_input_is_1(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code = main([command, str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"dbase: error: {message}\n"
+
+    def test_verify_sat_random_past_the_assignment_cap_is_1(self, capsys):
+        # Seed 0's first instance draws 27 of the 40 allowed variables.
+        code = main(
+            ["verify-sat", "--reduction", "lb", "--random", "2", "--vars", "40", "--seed", "0"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "dbase: error: 27 variables exceeds maximum 16\n"
+
     def test_oracle_ceiling_is_1(self, capsys, tmp_path):
         big = tmp_path / "big.ib"
         big.write_text("ground: " + " ".join(f"x{i}" for i in range(33)) + "\n")
@@ -625,23 +649,22 @@ class TestStreaming:
         # implications must arrive on the pipe while the process still runs.
         path = tmp_path / "blocks.ib"
         path.write_text(block_system_text(10))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "dbase.cli", "dbase", str(path), "--from", "ib"],
             stdout=subprocess.PIPE,
             text=True,
-        )
-        try:
-            lines_before_exit = 0
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                line = proc.stdout.readline()
-                if not line:
-                    break
-                if proc.poll() is None:
-                    lines_before_exit += 1
-                    if lines_before_exit >= 3:
+        ) as proc:
+            try:
+                lines_before_exit = 0
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline:
+                    line = proc.stdout.readline()
+                    if not line:
                         break
-            assert lines_before_exit >= 3, "no output while still enumerating"
-        finally:
-            proc.kill()
-            proc.wait()
+                    if proc.poll() is None:
+                        lines_before_exit += 1
+                        if lines_before_exit >= 3:
+                            break
+                assert lines_before_exit >= 3, "no output while still enumerating"
+            finally:
+                proc.kill()

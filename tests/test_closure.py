@@ -11,6 +11,7 @@ from dbase import (
     ClosureContext,
     ElementSet,
     GroundSet,
+    ImplicationalBase,
     binary_part,
     extreme_elements,
     is_standard,
@@ -47,14 +48,21 @@ class TestClose:
         assert ctx.close(ctx.ground.set_of(["1", "2"])) == ctx.ground.full()
 
     def test_counting_chaining_matches_round_semantics(self):
+        # Each random IB is also checked with one and with two rows "-> x"
+        # added, so an empty premise fires inside the chaining as well.
         rng = random.Random(11)
+        extra = random.Random(12)
         for _ in range(40):
-            ib = random_ib(rng, rng.randint(2, 7), rng.randint(0, 10))
-            ctx = ClosureContext.from_ib(ib)
-            n = len(ib.ground)
-            for bits in range(1 << n):
-                rounds = list(closure_rounds(ctx, ElementSet(ib.ground, bits)))
-                assert ctx.close_bits(bits) == rounds[-1].bits
+            base = random_ib(rng, rng.randint(2, 7), rng.randint(0, 10))
+            n = len(base.ground)
+            pairs = [(i.premise.bits, i.conclusion) for i in base]
+            for empties in range(3):
+                added = [(0, extra.randrange(n)) for _ in range(empties)]
+                ib = ImplicationalBase.build(base.ground, pairs + added)
+                ctx = ClosureContext.from_ib(ib)
+                for bits in range(1 << n):
+                    rounds = list(closure_rounds(ctx, ElementSet(ib.ground, bits)))
+                    assert ctx.close_bits(bits) == rounds[-1].bits
 
 
 class TestCloseBinary:
@@ -176,8 +184,6 @@ def context_and_sets(draw):
         bits = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
         concl = draw(st.integers(min_value=0, max_value=n - 1))
         pairs.append((bits, concl))
-    from dbase import ImplicationalBase
-
     ib = ImplicationalBase.build(ground, pairs)
     a = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     b = draw(st.integers(min_value=0, max_value=(1 << n) - 1))

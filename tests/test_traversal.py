@@ -211,7 +211,7 @@ def test_an_empty_premise_is_never_standard(data):
     )
     d = data.draw(st.integers(min_value=0, max_value=n - 1))
     ib = ImplicationalBase.build(ground, [(0, d), *data.draw(st.lists(pair, max_size=10))])
-    assert ClosureContext.from_ib(ib).empty_closure >> d & 1
+    assert ClosureContext.from_ib(ib).close_bits(0) >> d & 1
     with pytest.raises(NotStandard):
         list(iter_d_base(ib))
 
@@ -244,7 +244,7 @@ def test_key_equivalence_property(ib):
 
 def _chain_spans(graph: _SolutionGraph, xbits: int) -> bool:
     # The removability test that ``_SolutionGraph.min_reduce`` makes.
-    bottom = graph.ctx.empty_closure
+    bottom = graph.ctx.close_bits(0)
     return bool(chain(xbits | bottom, graph.rules, graph.cbit) & graph.cbit)
 
 
