@@ -14,12 +14,11 @@ The traversal never materializes Sigma_c: every closure runs in the one
 context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
 :class:`_SolutionGraph`), and the transitions are read off Sigma directly.
 Nearly all the work is Min's removability tests, each one :func:`chain`
-stopped once it reaches the target, so each target's graph keeps a memo from
-every set a Min walk passes through to the walk's result, and candidate
-windows go to Min without a spanning test: every window spans by
-construction, so every memo key does too, and Min asks the memo before it
-chains.  The memo is cleared whenever it passes ``MEMO_CAP`` entries;
-as only one target's graph is alive at a time, that bounds the whole run.
+stopped once it reaches the target.  So each target's graph keeps a memo
+from every set a Min walk passes through to the walk's result, and the sets
+whose test failed, and Min asks both before it chains.  Windows go to Min
+without a spanning test: every window spans by construction, so every memo
+key does too.
 :func:`build_reduced_base` and :func:`reduced_context` remain as the
 paper-level construction that the tests check the traversal against, and
 :func:`min_reduce` and :func:`neighbors` run the paper's own Min and N(A)
@@ -45,9 +44,9 @@ from .model import ElementSet, Implication, ImplicationalBase, iter_bits
 
 ORDER_POLICIES = ("size-label", "natural")
 
-# Entries the Min memo may hold before it is cleared; only one target's graph
-# is alive at a time, so this bounds a whole run.  The memo only saves work,
-# so clearing it never changes a result.
+# Sets Min's memo and failed tests may hold together before both are cleared.
+# They only save work, so clearing changes no result; one target's graph is
+# alive at a time, so this bounds a whole run.
 MEMO_CAP = 1 << 18
 
 
@@ -167,7 +166,7 @@ def reduced_context(rb: ReducedBase) -> ClosureContext:
 
 
 class _SolutionGraph:
-    """One target's solution graph: Min, candidate windows and a Min memo.
+    """One target's solution graph: Min, its memos and candidate windows.
 
     The graph runs on the input's own context, where a set X inside U_c
     spans when c is in cl(X).  That is the paper's cl_c(X) = U_c on the
@@ -214,30 +213,31 @@ class _SolutionGraph:
        reaches cl(X).  ``rules`` keeps those with premise inside U_c: the
        others cannot fire while the chain stays in U_c, and a firing that
        leaves U_c adds some cl(d) with d outside U_c, which holds c.  So the
-       chain reaches c iff c in cl(X).
+       chain reaches c iff c in cl(X), in any rule order: exit rules, whose
+       mask holds c, go first.
 
     By 1 and 3 the windows and Min's extremality tests are those of the
     reduced base, and by 2 the transitions come straight from Sigma.
-    Windows obey cl^b(X union Y) = cl^b(X) | cl^b(Y), so each one is a
-    single OR against a per-conclusion base; duplicates collapse before any
-    Min work.  ``memo`` maps every set a Min walk has passed through to the
-    walk's result (see :meth:`min_reduce`), across the target's whole
+    ``memo`` and ``fails`` (see :meth:`min_reduce`) last the target's whole
     traversal.
     """
 
-    __slots__ = ("ctx", "cbit", "universe", "steps", "rules", "transitions", "memo")
+    __slots__ = (
+        "ctx", "cbit", "universe", "steps", "rules", "transitions", "memo", "fails"
+    )
 
     def __init__(self, ctx: ClosureContext, c: int, order: str):
         universe = restricted_universe(ctx, c).bits
         self.ctx = ctx
-        self.cbit = 1 << c
+        self.cbit = cbit = 1 << c
         self.universe = universe
         self.steps = tuple(
             (1 << x, ctx.containers(x))
             for x in element_order(ctx, order)
             if universe >> x & 1
         )
-        self.rules = tuple(r for r in ctx.rules if r[0] & ~universe == 0)
+        inside = (r for r in ctx.rules if r[0] & ~universe == 0)
+        self.rules = tuple(sorted(inside, key=lambda r: not r[1] & cbit))
         groups: dict[int, set[int]] = {}
         for pbits, d in _reduced_pairs(ctx.source, ctx, universe):
             if pbits.bit_count() != 1:
@@ -246,6 +246,7 @@ class _SolutionGraph:
             (ctx.singleton_closure(d), tuple(clbs)) for d, clbs in groups.items()
         ]
         self.memo: dict[int, int] = {}
+        self.fails: set[int] = set()
 
     def min_reduce(self, fbits: int) -> int:
         """Greedy Min on a cl^b-closed spanning set; returns D-generator bits.
@@ -255,20 +256,20 @@ class _SolutionGraph:
         closure holds it) and removable (the rest still spans), then
         rescans from the front; the walk ends when nothing is removable,
         and returns the minimal elements of what is left.  An element that
-        once fails the removability test stays unremovable (closures only
-        shrink as the set does), so each element is tested at most once.
+        fails its test stays unremovable (closures only shrink as the set
+        does), so each element is tested at most once.
 
         Every set the walk passes through goes into ``memo`` with the
         result, and a walk stops at its first memo hit.  This is exact
-        because the step taken from a set depends on that set alone: an
-        element skipped as dead would fail its test again, its closure
-        being no larger than when it failed, and the scan always restarts
-        from the front.  So Min started from any set on the walk returns
+        because the step taken from a set depends on that set alone (dead
+        elements would fail again), so Min from any set on the walk gives
         the same result.  Every key spans (a walk starts at U_c or a
         window, fact 5, and each step passes a test), so a rest that is a
-        key passes; the other tests chain it over ``rules`` (fact 6).
+        key passes, one in ``fails`` fails, and only the others chain over
+        ``rules`` (fact 6).  Both are cleared once they hold ``MEMO_CAP``
+        sets together.
         """
-        memo = self.memo
+        memo, fails = self.memo, self.fails
         kernel = memo.get(fbits)
         if kernel is not None:
             return kernel
@@ -281,9 +282,12 @@ class _SolutionGraph:
                 if up & cur != bx or dead & bx:
                     continue  # absent, not extreme (may become so) or dead
                 rest = cur ^ bx
-                if rest in memo or chain(rest, rules, cbit) & cbit:
+                if rest in memo or (
+                    rest not in fails and chain(rest, rules, cbit) & cbit
+                ):
                     cur = rest
                     break
+                fails.add(rest)
                 dead |= bx
             else:
                 kernel = self.ctx.minimal_elements(cur)
@@ -292,8 +296,9 @@ class _SolutionGraph:
             if kernel is not None:
                 break
             walk.append(cur)
-        if len(memo) >= MEMO_CAP:
+        if len(memo) + len(fails) >= MEMO_CAP:
             memo.clear()
+            fails.clear()
         for bits in walk:
             memo[bits] = kernel
         return kernel
@@ -302,7 +307,8 @@ class _SolutionGraph:
         """The distinct windows cl^b((cl^b(A) minus cl^b(d)) union B) of a
         spanning A, one per transition B -> d; each spans (fact 5).  For
         S = cl^b(A), cl^b(S minus cl^b(d)) lies in S: it is S minus cl^b(d)
-        plus each cut y whose ``containers`` meet S minus cl^b(d)."""
+        plus each cut y whose ``containers`` meet S minus cl^b(d); OR-ing
+        cl^b(B) completes the window, as cl^b distributes over union."""
         ctx = self.ctx
         containers = ctx.containers
         clb_a = ctx.close_binary_bits(abits)

@@ -243,9 +243,9 @@ def test_key_equivalence_property(ib):
 
 
 def _chain_spans(graph: _SolutionGraph, xbits: int) -> bool:
-    # The removability test that ``_SolutionGraph.min_reduce`` makes.
-    bottom = graph.ctx.close_bits(0)
-    return bool(chain(xbits | bottom, graph.rules, graph.cbit) & graph.cbit)
+    # The removability test that ``_SolutionGraph.min_reduce`` makes: the
+    # bare set, chained over the graph's rules.
+    return bool(chain(xbits, graph.rules, graph.cbit) & graph.cbit)
 
 
 @given(standard_ibs(min_n=1))
@@ -569,6 +569,43 @@ def test_walk_memo_is_exact_and_windows_span(ib, order):
                 assert ctx.close_bits(window) >> c & 1
 
 
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
+@settings(max_examples=150, deadline=None)
+def test_failed_tests_are_exact(ib, order):
+    # After a whole traversal every set in ``fails`` is a cl^b-closed set
+    # inside U_c that does not span, so answering its test from the set is
+    # what a chain would say.
+    ctx = ClosureContext.from_ib(ib)
+    for c in range(len(ib.ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        graph = _SolutionGraph(ctx, c, order)
+        for _ in graph.traverse():
+            pass
+        for bits in graph.fails:
+            assert ctx.close_binary_bits(bits) == bits
+            assert bits & ~graph.universe == 0
+            assert not ctx.close_bits(bits) >> c & 1
+
+
+@given(standard_ibs(min_n=1))
+@settings(max_examples=150, deadline=None)
+def test_graph_rules_put_exit_rules_first(ib):
+    # The graph keeps the context's rules with premise inside U_c, those
+    # whose mask holds c (equivalently, leaves U_c) first, each group in the
+    # context's order.
+    ctx = ClosureContext.from_ib(ib)
+    for c in range(len(ib.ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        graph = _SolutionGraph(ctx, c, "size-label")
+        inside = [r for r in ctx.rules if r[0] & ~graph.universe == 0]
+        exits = [r for r in inside if r[1] >> c & 1]
+        assert list(graph.rules) == exits + [r for r in inside if r not in exits]
+        for _, mask in inside:
+            assert bool(mask & ~graph.universe) == bool(mask >> c & 1)
+
+
 class TestMinMemo:
     def test_capped_memo_gives_the_same_stream(self, monkeypatch):
         ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 6, 5))
@@ -593,6 +630,27 @@ class TestMinMemo:
                         assert len(graph.memo) <= 8 + len(ib.ground)
                     assert capped == uncapped[c]
             assert got == want
+
+    def test_capped_memo_and_fails_give_the_same_stream(self, monkeypatch):
+        ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+        for order in ("size-label", "natural"):
+            want = [i.format() for i in iter_d_base(ib, order=order)]
+            peak = [0]
+
+            def check(graph, x):
+                held = len(graph.memo) + len(graph.fails)
+                peak[0] = max(peak[0], held)
+                # Cleared at the cap, then one walk's |U_c| + 1 memo keys and
+                # |U_c| failures.
+                u = graph.universe.bit_count()
+                assert held <= 8 + (u + 1) + u
+
+            with monkeypatch.context() as m:
+                m.setattr(dbase.traversal, "MEMO_CAP", 8)
+                _watch_chains(m, check)
+                got = [i.format() for i in iter_d_base(ib, order=order)]
+            assert got == want
+            assert peak[0] > 8
 
     def test_closure_calls_on_lb_gadget(self, monkeypatch):
         # Memoizing whole walks and dropping the window spanning test cut
@@ -632,10 +690,38 @@ class TestMinMemo:
         assert chains[0] <= 12_000
         assert closures[0] <= 2 * len(ib.ground)
 
+    def test_rule_checks_on_lb_gadget(self, monkeypatch):
+        # A rule check is one premise test inside chain.  Remembering failed
+        # tests and chaining exit rules first cut this run from 5,259 chains
+        # and 192,431 rule checks to 3,828 and 106,012.
+        ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+        want = [i.format() for i in iter_d_base(ib)]
+        counts = {"chains": 0, "checks": 0}
 
-def _chains_guarded_by_the_memo(m: pytest.MonkeyPatch) -> list[int]:
-    # Make every chain test fail if it is run on a key of the live graph's
-    # memo, which spans and so needs no test; returns a live call count.
+        def counting_chain(x, rules, cover):
+            # closure.chain, counting its calls and premise tests.
+            counts["chains"] += 1
+            grown = x & cover != cover
+            while grown:
+                grown = False
+                for premise, mask in rules:
+                    counts["checks"] += 1
+                    if premise & x == premise and mask & ~x:
+                        x |= mask
+                        if x & cover == cover:
+                            return x
+                        grown = True
+            return x
+
+        monkeypatch.setattr(dbase.traversal, "chain", counting_chain)
+        assert [i.format() for i in iter_d_base(ib)] == want
+        assert 0 < counts["chains"] <= 4_000
+        assert counts["checks"] <= 120_000
+
+
+def _watch_chains(m: pytest.MonkeyPatch, check) -> list[int]:
+    # Call ``check(graph, x)`` before every chain test, with the live graph
+    # (the last one built) and the set chained; returns a live call count.
     live: list[_SolutionGraph] = []
     calls = [0]
     init, chain_fn = _SolutionGraph.__init__, dbase.traversal.chain
@@ -644,14 +730,37 @@ def _chains_guarded_by_the_memo(m: pytest.MonkeyPatch) -> list[int]:
         init(self, *args)
         live[:] = [self]
 
-    def guarded(x, rules, cover):
-        assert x not in live[0].memo, "chained a set the walk memo holds"
+    def watched(x, rules, cover):
+        check(live[0], x)
         calls[0] += 1
         return chain_fn(x, rules, cover)
 
     m.setattr(_SolutionGraph, "__init__", tracking_init)
-    m.setattr(dbase.traversal, "chain", guarded)
+    m.setattr(dbase.traversal, "chain", watched)
     return calls
+
+
+def _chains_guarded_by_the_memo(m: pytest.MonkeyPatch) -> list[int]:
+    # Make every chain test fail if it is run on a key of the live graph's
+    # memo, which spans and so needs no test.
+    def check(graph, x):
+        assert x not in graph.memo, "chained a set the walk memo holds"
+
+    return _watch_chains(m, check)
+
+
+def _chains_guarded_against_repeats(m: pytest.MonkeyPatch) -> list[int]:
+    # Make a chain test fail if the live graph has chained its set before:
+    # a passed test leaves the set in the memo, a failed one in ``fails``.
+    seen: list = [None, set()]
+
+    def check(graph, x):
+        if graph is not seen[0]:
+            seen[:] = [graph, set()]
+        assert x not in seen[1], "chained a set twice for one target"
+        seen[1].add(x)
+
+    return _watch_chains(m, check)
 
 
 def test_min_never_chains_a_memo_key(monkeypatch):
@@ -670,6 +779,25 @@ def test_min_never_chains_a_memo_key_property(ib, order):
     want = list(iter_d_base(ib, order=order))
     with pytest.MonkeyPatch.context() as m:
         _chains_guarded_by_the_memo(m)
+        assert list(iter_d_base(ib, order=order)) == want
+
+
+def test_min_never_chains_a_set_twice_per_target(monkeypatch):
+    # Without the failed-test set Min chains 1,431 sets here a second time,
+    # every one a failure.
+    ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+    want = [i.format() for i in iter_d_base(ib)]
+    calls = _chains_guarded_against_repeats(monkeypatch)
+    assert [i.format() for i in iter_d_base(ib)] == want
+    assert calls[0] > 0
+
+
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
+@settings(max_examples=150, deadline=None)
+def test_min_never_chains_a_set_twice_per_target_property(ib, order):
+    want = list(iter_d_base(ib, order=order))
+    with pytest.MonkeyPatch.context() as m:
+        _chains_guarded_against_repeats(m)
         assert list(iter_d_base(ib, order=order)) == want
 
 
