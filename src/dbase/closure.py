@@ -85,10 +85,14 @@ class ClosureContext:
 
     @classmethod
     def from_ib(cls, ib: ImplicationalBase) -> "ClosureContext":
+        if not isinstance(ib, ImplicationalBase):
+            raise TypeError("from_ib needs an ImplicationalBase")
         return cls(ib)
 
     @classmethod
     def from_mi(cls, family: SetFamily) -> "ClosureContext":
+        if not isinstance(family, SetFamily):
+            raise TypeError("from_mi needs a SetFamily")
         return cls(family)
 
     def close_bits(self, bits: int) -> int:

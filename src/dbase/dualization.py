@@ -2,9 +2,9 @@
 
 For each target c, the maximal meet-irreducibles omitting c form an antichain
 whose dual in the distributive lattice cs^b consists of cl^b(c) plus the
-cl^b-closures of the D-generators of c.  In cs^b the unique minimal spanning
-set of a closed set is its set of cl^b-minimal elements, so each D-generator
-is read straight off its closure.
+cl^b-closures of the D-generators of c.  In a standard system cl^b(c) is the
+one member holding c and every member is cl^b of its cl^b-minimal elements,
+so each D-generator is read straight off the dual, unchecked.
 
 The dualizer is Berge multiplication carried out on the lattice: the
 minimal closed sets meeting every complement of B+ are grown one edge at a
@@ -13,19 +13,17 @@ closures cl^b(b) of the edge's elements.  cl^b is a union of singleton
 closures, so every product is closed and the family stays an antichain of
 closed sets; only the new products need absorbing.  One run of the Mi route
 builds the Mi context, checks standardness and takes the binary part once,
-then makes one dualization per element on that same context: the Mi
-context's singleton closures are those of cs^b, so its cl^b is the closure
-of the binary part and no context is built per element.  Both reduction
-directions are provided; the embedding gadget marks its fresh element with
-the reserved label ``_d``.
+then makes one dualization per element on that same context: its singleton
+closures are those of cs^b, so its cl^b is the closure of the binary part.
+Both reduction directions are provided; the embedding gadget marks its
+fresh element with the reserved label ``_d``.
 """
 from __future__ import annotations
 
 from .closure import ClosureContext, binary_part, is_standard
-# Unused here (spanning sets are read off cl^b directly), but perfbench's
-# traced run wraps ``dbase.dualization.min_spanning_set``.
+# Unused here, but perfbench's tracer wraps dbase.dualization.min_spanning_set.
 from .closure import min_spanning_set  # noqa: F401
-from .errors import MalformedGadget, NotSpanning, NotStandard
+from .errors import MalformedGadget, NotStandard
 from .lattice import _minimal_masks, meet_irreducibles_distributive, up_arrow
 from .model import (
     RESERVED_DUAL_LABEL,
@@ -107,37 +105,31 @@ def _mi_context(mi: SetFamily) -> tuple[ClosureContext, ImplicationalBase]:
 def _d_generator_masks(
     ctx: ClosureContext, bp: ImplicationalBase, mi: SetFamily, c: int
 ) -> list[int]:
-    # genD(c) as masks, sorted by closure mask; ``ctx`` is the Mi context,
-    # whose singleton closures are those of cs^b, so the dualizer runs on it.
+    # genD(c) as masks, sorted by closure mask, read off the dual unchecked,
+    # as the Mi context ``ctx`` (whose cl^b is that of cs^b) is standard:
+    # (1) cl^b(c) is the one dual member holding c.  It lies in no member of
+    #     c-up, so some dual member X lies below it; X omitting c would lie in
+    #     the closed set cl(c) - c, a meet of members one of which omits c, so
+    #     below a member of c-up.  Any member holding c contains cl^b(c), so
+    #     by minimality equals it.
+    # (2) Each member is cl^b of its minimal elements.  b in cl(a) - a with a
+    #     in cl(b) would put a in the closed set cl(a) - a, so "x in cl(y)" is
+    #     a partial order, and a member, a union of singleton closures, is a
+    #     down-set of it: the down-closure of its top (minimal) elements.
     dual = dualize_distributive(bp, up_arrow(mi, c), ctx)
-    cbit = 1 << c
-    rest = [m for m in dual.bit_list() if not m & cbit]
-    if len(rest) != len(dual) - 1:
-        raise NotStandard(
-            f"dual antichain of {mi.ground.label(c)!r} lacks the closure of the element"
-        )
-    out = []
-    for m in sorted(rest):
-        # The minimal spanning set of a closed F in cs^b: its minimal elements.
-        kernel = ctx.minimal_elements(m)
-        if ctx.close_binary_bits(kernel) != m:
-            raise NotSpanning(
-                f"minimal elements of {ElementSet(mi.ground, m)!r} do not span it"
-            )
-        out.append(kernel)
-    return out
+    return [ctx.minimal_elements(m) for m in sorted(dual.bit_list()) if not m >> c & 1]
 
 
 def d_generators_from_mi(mi: SetFamily, c: int) -> list[ElementSet]:
     """genD(c) from the meet-irreducible elements, via one dualization.
 
     Dualize the up-arrows of c inside cs^b, drop the member cl^b(c) (the only
-    one containing c), and map every remaining closure to its unique minimal
-    spanning set.  Empty exactly when c is join-prime.
+    one containing c), and map every remaining closure to its minimal
+    elements, its unique minimal spanning set.  Both steps go unchecked, as
+    the checked standardness implies them.  Empty exactly when c is join-prime.
     """
     ctx, bp = _mi_context(mi)
-    masks = _d_generator_masks(ctx, bp, mi, c)
-    return [ElementSet(mi.ground, k) for k in masks]
+    return [ElementSet(mi.ground, k) for k in _d_generator_masks(ctx, bp, mi, c)]
 
 
 def d_base_from_mi(mi: SetFamily) -> ImplicationalBase:
@@ -162,10 +154,9 @@ def iter_d_base_from_mi(mi: SetFamily):
 def embed_dualization(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:
     """Meet-irreducibles of the gadget system over U plus the fresh element:
     Mi(cs') = B+ union {M union {_d} | M in Mi(cs)}."""
-    binary_ib.require_binary()
+    mi = meet_irreducibles_distributive(binary_ib)
     ctx = ClosureContext.from_ib(binary_ib)
     uppers = check_antichain_of_closed(b_plus, ctx.ground, ctx.close_bits)
-    mi = meet_irreducibles_distributive(binary_ib)
     ground2 = GroundSet(binary_ib.ground.names + (RESERVED_DUAL_LABEL,))
     dbit = 1 << len(binary_ib.ground)
     masks = list(uppers) + [m | dbit for m in mi.bit_list()]

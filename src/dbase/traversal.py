@@ -76,6 +76,10 @@ def is_d_generator(ctx: ClosureContext, aset: ElementSet, c: int) -> bool:
     Characterization: c in cl(A) and, for every a in A, c not in
     cl(cl^b(A) minus a).
     """
+    if aset.ground != ctx.ground:
+        raise ValueError("set over a different ground set")
+    if not 0 <= c < len(ctx.ground):
+        raise ValueError(f"target {c} outside the ground set")
     if aset.bits >> c & 1:
         raise TargetInSet(f"target {ctx.ground.label(c)!r} belongs to the set")
     return _is_key(ctx, aset.bits, 1 << c)

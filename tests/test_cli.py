@@ -391,6 +391,10 @@ class TestExitCodes:
         [
             ("dbase", "ground: a .\n", "invalid element label '.'"),
             ("dbase", "ground: a a->b\n", "invalid element label 'a->b'"),
+            ("dbase", "# only a comment\n", "missing ground line"),
+            ("dbase", "ground:\n", "ground line declares no elements"),
+            ("dbase", "ground: a b\na ->b\n", "malformed arrow in line 'a ->b'"),
+            ("dbase", "ground: a b\na b ->\n", "missing conclusion in line 'a b ->'"),
             ("one-in-three", "1 2 3\n", "first line must start with 'vars:'"),
             ("one-in-three", "vars:\n1 2 3\n", "vars line declares no variables"),
         ],

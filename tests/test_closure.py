@@ -65,6 +65,16 @@ class TestClose:
                     assert ctx.close_bits(bits) == rounds[-1].bits
 
 
+class TestContextConstructors:
+    def test_from_ib_refuses_a_family(self, ex1_mi):
+        with pytest.raises(TypeError, match="from_ib needs an ImplicationalBase"):
+            ClosureContext.from_ib(ex1_mi)
+
+    def test_from_mi_refuses_a_base(self, ex2_ib):
+        with pytest.raises(TypeError, match="from_mi needs a SetFamily"):
+            ClosureContext.from_mi(ex2_ib)
+
+
 class TestCloseBinary:
     def test_paper_values(self, ex2_ctx):
         g = ex2_ctx.ground

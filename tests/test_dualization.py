@@ -50,6 +50,7 @@ from conftest import (
     labelsets,
     random_binary_ib,
     random_standard_ib,
+    random_standard_mi,
     up_dual_by_enumeration,
 )
 
@@ -393,6 +394,30 @@ def test_dualize_on_the_mi_context_matches_a_fresh_context_property(mi):
         got = dualize_distributive(bp, b_plus, ctx)
         assert got == dualize_distributive(bp, b_plus)
         assert got == brute_dual(bp, b_plus)
+
+
+def _check_the_dual_reads_off_unchecked(mi: SetFamily) -> None:
+    # The Mi route reads genD(c) off the dual without a check, on two facts
+    # that standardness implies: exactly one member holds c, and it is
+    # cl^b(c); and every member is cl^b of its minimal elements.
+    ctx = ClosureContext.from_mi(mi)
+    bp = binary_part(ctx)
+    for c in range(len(mi.ground)):
+        dual = dualize_distributive(bp, up_arrow(mi, c), ctx).bit_list()
+        assert [m for m in dual if m >> c & 1] == [ctx.singleton_closure(c)]
+        for m in dual:
+            assert ctx.close_binary_bits(ctx.minimal_elements(m)) == m
+
+
+class TestDualReadsOffUnchecked:
+    def test_random_standard_families(self):
+        rng = random.Random(18)
+        for _ in range(400):
+            _check_the_dual_reads_off_unchecked(random_standard_mi(rng))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gap_families(self, n):
+        _check_the_dual_reads_off_unchecked(parse_set_family(gap_mi_text(n)))
 
 
 class TestCrossRouteAgreement:

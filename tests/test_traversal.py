@@ -73,6 +73,30 @@ class TestIsDGenerator:
         with pytest.raises(TargetInSet):
             is_d_generator(ex2_ctx, g.set_of(["4", "5"]), g.position("5"))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda ctx, own, foreign: is_d_generator(ctx, foreign, 2),
+             "set over a different ground set"),
+            (lambda ctx, own, foreign: ctx.close(foreign), "set over a different ground set"),
+            (lambda ctx, own, foreign: ctx.close_binary(foreign),
+             "set over a different ground set"),
+            (lambda ctx, own, foreign: is_d_generator(ctx, own, -1),
+             "target -1 outside the ground set"),
+            (lambda ctx, own, foreign: is_d_generator(ctx, own, 4),
+             "target 4 outside the ground set"),
+        ],
+        ids=["dgen-set", "close", "close-binary", "dgen-negative-target", "dgen-target-past-end"],
+    )
+    def test_foreign_set_or_target_is_refused(self, call, message):
+        # {w, x} has the bits of {a, b}, which generates c, so a missing
+        # ground check answers instead of raising.
+        ctx = ClosureContext.from_ib(parse_ib("ground: a b c d\na b -> c\n"))
+        own = ctx.ground.set_of(["a", "b"])
+        foreign = GroundSet(["w", "x", "y", "z"]).set_of(["w", "x"])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(ctx, own, foreign)
+
     def test_uses_at_most_2n_closure_calls(self, ex9_ib):
         class CountingContext(ClosureContext):
             calls = 0
