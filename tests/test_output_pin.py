@@ -4,13 +4,19 @@ The digests were computed before the cycle and antichain helpers of
 ``dbase.lattice`` were merged; the merge must not change a single flag,
 arrow or report.  The stream digests cover both D-base routes row by row,
 row order included, so a faster dualizer or traversal must emit exactly the
-same rows in the same order.  A deliberate change of output updates the
-digest here.
+same rows in the same order.  The help digest covers every help and usage
+text of the CLI, of the full parser and of each one-command parser, so a
+rebuilt parser must print them byte for byte.  A deliberate change of
+output updates the digest here.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import random
+import sys
+
+import pytest
 
 from dbase import (
     ClosureContext,
@@ -25,6 +31,7 @@ from dbase import (
     up_arrow,
     verify_reduction,
 )
+from dbase.cli import _COMMANDS, build_parser
 from dbase.lattice import implication_graph_acyclic
 
 from conftest import gap_mi_text, random_ib, random_standard_ib, random_standard_mi
@@ -33,6 +40,13 @@ CLASSIFY_SHA256 = "fb98913f7eddaeb65f04e85472adeff680ccec998143fbcff8871e43f8cd0
 REPORTS_SHA256 = "c1f0edc1c80b1b96390d15253e259652bd7107480884cf4c5801dd700aa5f035"
 MI_STREAM_SHA256 = "0657d61c4bc137c8803c1153e6f66bdc6080ad0cd79ea57efd44d9cfa2b173e2"
 IB_STREAM_SHA256 = "d76c39360ed80411874ab9bda495818a3ab5e6a42a42294569106c53c66c44b2"
+# argparse lays help out differently from Python 3.13 on.
+HELP_SHA256 = {
+    (3, 10): "46597086e14b1efbafcb0ecc126c013413c38158ad0839951b92edcb976e78ed",
+    (3, 11): "46597086e14b1efbafcb0ecc126c013413c38158ad0839951b92edcb976e78ed",
+    (3, 12): "46597086e14b1efbafcb0ecc126c013413c38158ad0839951b92edcb976e78ed",
+    (3, 13): "7f1c264036f583b6401868b0de1cc8d9d49ca827f570667406fd2cf4110f0417",
+}
 
 
 def _classify_lines():
@@ -76,6 +90,22 @@ def _ib_stream_lines():
             yield from (imp.format() for imp in iter_d_base(ib, order=order))
 
 
+def _walk(parser, path):
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _walk(child, f"{path} {name}")
+
+
+def _help_lines():
+    for command in (None, *_COMMANDS):
+        for path, parser in _walk(build_parser(command), f"build_parser({command!r})"):
+            yield path
+            yield parser.format_usage()
+            yield parser.format_help()
+
+
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -94,3 +124,12 @@ def test_mi_route_stream_unchanged():
 
 def test_ib_route_stream_unchanged():
     assert _digest(_ib_stream_lines()) == IB_STREAM_SHA256
+
+
+def test_help_and_usage_unchanged(monkeypatch):
+    want = HELP_SHA256.get(sys.version_info[:2])
+    if want is None:
+        pytest.skip("no help digest pinned for this Python's argparse")
+    # argparse wraps help to the terminal width, read from COLUMNS first.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _digest(_help_lines()) == want
