@@ -16,11 +16,13 @@ from .closure import ClosureContext, binary_part
 from .dualization import dualize_distributive, iter_d_base_from_mi
 from .errors import DBaseError, FileAccessError
 from .gadgets import (
+    gadget_size,
     gen_acyclic_instance,
     gen_lower_bounded_instance,
     one_in_three_assignments,
     parse_cnf,
     random_cnf,
+    require_cnf_scale,
     serialize_cnf,
     verify_reduction,
 )
@@ -39,7 +41,7 @@ from .model import (
     serialize_relation,
     serialize_set_family,
 )
-from .oracle import ORACLE_MAX_GROUND, BruteForce, brute_dual
+from .oracle import ORACLE_MAX_GROUND, BruteForce, brute_dual, require_oracle_scale
 from .traversal import ORDER_POLICIES, iter_d_base
 
 
@@ -188,7 +190,12 @@ def _cmd_verify_sat(args) -> int:
         rng = random.Random(args.seed)
         failures = 0
         for i in range(args.random):
-            cnf = random_cnf(rng, rng.randint(3, args.vars), rng.randint(1, args.clauses))
+            n_vars, n_clauses = rng.randint(3, args.vars), rng.randint(1, args.clauses)
+            # The drawn sizes have no cap of their own: refuse what
+            # verify_reduction would refuse before the formula is built.
+            require_cnf_scale(n_vars)
+            require_oracle_scale(gadget_size(which, n_vars, n_clauses), args.max_oracle)
+            cnf = random_cnf(rng, n_vars, n_clauses)
             report = verify_reduction(cnf, which, max_ground=args.max_oracle)
             if not report.ok:
                 failures += 1
@@ -251,67 +258,65 @@ def nonnegative(text: str) -> int:
     return value
 
 
-def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
-    """An option-only parent parser holding one option."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*flags, **kwargs)
-    return parent
-
-
-# One parent per piece of code that reads an option: both file loaders read
-# --max-ground, the IB loader also --allow-empty-premise.  Each is built when
-# a sub-parser first asks for it.
-_PARENTS = {
-    "ground": lambda: _option(
-        "--max-ground", type=nonnegative, default=DEFAULT_MAX_GROUND, metavar="N",
-        help="maximum ground size accepted (default %(default)s)"),
-    "empty": lambda: _option("--allow-empty-premise", action="store_true",
-                             help="accept implications with an empty premise"),
-    "source": lambda: _option("--from", dest="source", choices=("ib", "mi"), default="ib",
-                              help="file holds an implicational base or an Mi family"),
-    "max_oracle": lambda: _option(
-        "--max-oracle", type=nonnegative, default=ORACLE_MAX_GROUND, metavar="N",
-        help="ground cap for exhaustive oracle scans (default %(default)s)"),
-    "max_desk": lambda: _option(
-        "--max-desk", type=nonnegative, default=DESK_MAX_GROUND, metavar="N",
-        help="ground cap for closed-set enumeration (default %(default)s)"),
-    "quiet": lambda: _option("--quiet", action="store_true", help="suppress chatter"),
+# The options shared by several subcommands, each as its flag and the keyword
+# arguments of ``add_argument``.  Both file loaders read --max-ground, the IB
+# loader also --allow-empty-premise.
+_SHARED = {
+    "--max-ground": dict(type=nonnegative, default=DEFAULT_MAX_GROUND, metavar="N",
+                         help="maximum ground size accepted (default %(default)s)"),
+    "--allow-empty-premise": dict(action="store_true",
+                                  help="accept implications with an empty premise"),
+    "--from": dict(dest="source", choices=("ib", "mi"), default="ib",
+                   help="file holds an implicational base or an Mi family"),
+    "--max-oracle": dict(type=nonnegative, default=ORACLE_MAX_GROUND, metavar="N",
+                         help="ground cap for exhaustive oracle scans (default %(default)s)"),
+    "--max-desk": dict(type=nonnegative, default=DESK_MAX_GROUND, metavar="N",
+                       help="ground cap for closed-set enumeration (default %(default)s)"),
+    "--quiet": dict(action="store_true", help="suppress chatter"),
 }
-_IB = ("ground", "empty")
+_IB = ("--max-ground", "--allow-empty-premise")
 
 
-def _add_close(sub, parents, binary: bool = False) -> None:
+def _subparser(sub, name: str, shared=(), **kwargs) -> argparse.ArgumentParser:
+    """Sub-parser ``name`` of ``sub`` holding the ``shared`` options, in order."""
+    p = sub.add_parser(name, **kwargs)
+    for flag in shared:
+        p.add_argument(flag, **_SHARED[flag])
+    return p
+
+
+def _add_close(sub, binary: bool = False) -> None:
     name, text = (("closeb", "binary closure of a set") if binary
                   else ("close", "closure of a set"))
-    p = sub.add_parser(name, parents=parents(*_IB, "source"), help=text)
+    p = _subparser(sub, name, (*_IB, "--from"), help=text)
     p.add_argument("file")
     p.add_argument("--set", required=True, help="whitespace-separated labels")
     p.set_defaults(func=_cmd_close, binary=binary)
 
 
-def _add_binary_part(sub, parents) -> None:
-    p = sub.add_parser("binary-part", parents=parents(*_IB, "source"),
-                       help="all valid binary implications")
+def _add_binary_part(sub) -> None:
+    p = _subparser(sub, "binary-part", (*_IB, "--from"),
+                   help="all valid binary implications")
     p.add_argument("file")
     p.set_defaults(func=_cmd_binary_part)
 
 
-def _add_mi(sub, parents) -> None:
-    p = sub.add_parser("mi", parents=parents(*_IB, "max_desk"),
-                       help="meet-irreducible elements (desk scale)")
+def _add_mi(sub) -> None:
+    p = _subparser(sub, "mi", (*_IB, "--max-desk"),
+                   help="meet-irreducible elements (desk scale)")
     p.add_argument("file")
     p.set_defaults(func=_cmd_mi)
 
 
-def _add_cdb(sub, parents) -> None:
-    p = sub.add_parser("cdb", parents=parents(*_IB, "max_oracle"),
-                       help="canonical direct base (exhaustive oracle)")
+def _add_cdb(sub) -> None:
+    p = _subparser(sub, "cdb", (*_IB, "--max-oracle"),
+                   help="canonical direct base (exhaustive oracle)")
     p.add_argument("file")
     p.set_defaults(func=_cmd_oracle, oracle_cmd="cdb", source="ib")
 
 
-def _add_dbase(sub, parents) -> None:
-    p = sub.add_parser("dbase", parents=parents(*_IB, "source"), help="stream the D-base")
+def _add_dbase(sub) -> None:
+    p = _subparser(sub, "dbase", (*_IB, "--from"), help="stream the D-base")
     p.add_argument("file")
     # None marks --order as not given, which ``--from mi`` requires.
     p.add_argument("--order", choices=ORDER_POLICIES, default=None,
@@ -322,17 +327,16 @@ def _add_dbase(sub, parents) -> None:
     p.set_defaults(func=_cmd_dbase)
 
 
-def _add_dualize(sub, parents) -> None:
-    p = sub.add_parser("dualize", parents=parents(*_IB),
-                       help="dual antichain in a distributive system")
+def _add_dualize(sub) -> None:
+    p = _subparser(sub, "dualize", _IB, help="dual antichain in a distributive system")
     p.add_argument("ib_file")
     p.add_argument("antichain_file")
     p.set_defaults(func=_cmd_dualize)
 
 
-def _add_relations(sub, parents) -> None:
-    p = sub.add_parser("relations", parents=parents("ground"),
-                       help="delta- or D-relation edge list from Mi")
+def _add_relations(sub) -> None:
+    p = _subparser(sub, "relations", ("--max-ground",),
+                   help="delta- or D-relation edge list from Mi")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--delta", dest="which", action="store_const", const="delta")
@@ -340,16 +344,16 @@ def _add_relations(sub, parents) -> None:
     p.set_defaults(func=_cmd_relations)
 
 
-def _add_classify(sub, parents) -> None:
-    p = sub.add_parser("classify", parents=parents(*_IB, "max_desk"),
-                       help="acyclic / lower-bounded / graph-acyclic flags")
+def _add_classify(sub) -> None:
+    p = _subparser(sub, "classify", (*_IB, "--max-desk"),
+                   help="acyclic / lower-bounded / graph-acyclic flags")
     p.add_argument("file")
     p.set_defaults(func=_cmd_classify)
 
 
-def _add_gen_sat(sub, parents) -> None:
-    p = sub.add_parser("gen-sat", parents=parents("quiet"),
-                       help="generate a reduction instance from a 3-CNF")
+def _add_gen_sat(sub) -> None:
+    p = _subparser(sub, "gen-sat", ("--quiet",),
+                   help="generate a reduction instance from a 3-CNF")
     p.add_argument("file")
     p.add_argument("--reduction", choices=("acg", "lb"), required=True)
     p.add_argument("-o", "--output", default=None,
@@ -357,9 +361,9 @@ def _add_gen_sat(sub, parents) -> None:
     p.set_defaults(func=_cmd_gen_sat)
 
 
-def _add_verify_sat(sub, parents) -> None:
-    p = sub.add_parser("verify-sat", parents=parents("max_oracle", "quiet"),
-                       help="verify a reduction's biconditional by brute force")
+def _add_verify_sat(sub) -> None:
+    p = _subparser(sub, "verify-sat", ("--max-oracle", "--quiet"),
+                   help="verify a reduction's biconditional by brute force")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--reduction", choices=("acg", "lb"), required=True)
     p.add_argument("--random", type=nonnegative, default=0, metavar="COUNT",
@@ -370,23 +374,22 @@ def _add_verify_sat(sub, parents) -> None:
     p.set_defaults(func=_cmd_verify_sat)
 
 
-def _add_one_in_three(sub, parents) -> None:
-    p = sub.add_parser("one-in-three",
-                       help="all 1-in-3 assignments of a positive 3-CNF")
+def _add_one_in_three(sub) -> None:
+    p = sub.add_parser("one-in-three", help="all 1-in-3 assignments of a positive 3-CNF")
     p.add_argument("file")
     p.set_defaults(func=_cmd_one_in_three)
 
 
-def _add_oracle(sub, parents) -> None:
+def _add_oracle(sub) -> None:
     p = sub.add_parser("oracle", help="exhaustive reference computations")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
     for name in ("gens", "dgens", "cdb", "dbase", "drel"):
-        op = osub.add_parser(name, parents=parents(*_IB, "source", "max_oracle"))
+        op = _subparser(osub, name, (*_IB, "--from", "--max-oracle"))
         op.add_argument("file")
         if name in ("gens", "dgens"):
             op.add_argument("-c", "--element", required=True)
         op.set_defaults(func=_cmd_oracle)
-    op = osub.add_parser("dual", parents=parents(*_IB, "max_oracle"))
+    op = _subparser(osub, "dual", (*_IB, "--max-oracle"))
     op.add_argument("file")
     op.add_argument("antichain_file")
     op.set_defaults(func=_cmd_oracle)
@@ -412,30 +415,20 @@ _COMMANDS = {
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser.  With ``command``, a subcommand name, only its
-    sub-parser and the option parents it reads are built; the top-level usage
-    still lists every subcommand, so its error texts read the same."""
-    built: dict[str, argparse.ArgumentParser] = {}
-
-    def parents(*names: str) -> list[argparse.ArgumentParser]:
-        for name in names:
-            if name not in built:
-                built[name] = _PARENTS[name]()
-        return [built[name] for name in names]
-
+    sub-parser is built; the top-level usage still lists every subcommand, so
+    its error texts read the same."""
     parser = argparse.ArgumentParser(
         prog="dbase",
         description="Closure systems, implicational bases, and D-base computation.",
     )
     parser.add_argument("--version", action="version", version=f"dbase {__version__}")
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _COMMANDS.values():
-            add(sub, parents)
-    else:
-        # The metavar the full parser derives from its choices.
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-        _COMMANDS[command](sub, parents)
+    # One command's parser is given the metavar the full parser derives from
+    # its choices; the full parser is not, as a given metavar would also
+    # stand for "command" in its error texts.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _COMMANDS[name](sub)
     return parser
 
 

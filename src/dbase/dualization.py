@@ -50,8 +50,6 @@ def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
     """
     family = [0]
     for edge in edges:
-        if edge == 0:
-            return []
         kept = [t for t in family if t & edge]
         singles = [ctx.singleton_closure(b) for b in iter_bits(edge)]
         products = {t | s for t in family if not t & edge for s in singles}
@@ -154,8 +152,9 @@ def iter_d_base_from_mi(mi: SetFamily):
 def embed_dualization(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:
     """Meet-irreducibles of the gadget system over U plus the fresh element:
     Mi(cs') = B+ union {M union {_d} | M in Mi(cs)}."""
-    mi = meet_irreducibles_distributive(binary_ib)
+    binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
+    mi = meet_irreducibles_distributive(binary_ib, ctx)
     uppers = check_antichain_of_closed(b_plus, ctx.ground, ctx.close_bits)
     ground2 = GroundSet(binary_ib.ground.names + (RESERVED_DUAL_LABEL,))
     dbit = 1 << len(binary_ib.ground)

@@ -42,6 +42,12 @@ class PositiveCnf(namedtuple("PositiveCnf", "variables clauses")):
         return super().__new__(cls, variables, clauses)
 
 
+def require_cnf_scale(n_vars: int, max_vars: int = MAX_CNF_VARS) -> None:
+    """Refuse a formula of more than ``max_vars`` variables."""
+    if n_vars > max_vars:
+        raise GroundTooLarge(f"{n_vars} variables exceeds maximum {max_vars}")
+
+
 def parse_cnf(text: str, *, max_vars: int = MAX_CNF_VARS) -> PositiveCnf:
     """Parse ``vars: <label>+`` then one clause of exactly 3 labels per line."""
     lines = _content_lines(text)
@@ -50,8 +56,7 @@ def parse_cnf(text: str, *, max_vars: int = MAX_CNF_VARS) -> PositiveCnf:
     labels = lines[0][1:]
     if not labels:
         raise ParseError("vars line declares no variables")
-    if len(labels) > max_vars:
-        raise GroundTooLarge(f"{len(labels)} variables exceeds maximum {max_vars}")
+    require_cnf_scale(len(labels), max_vars)
     if any(label.startswith("_") for label in labels):
         raise ParseError("variable labels may not start with '_' (reserved)")
     variables = GroundSet(labels)
@@ -92,6 +97,12 @@ def conflict_pairs(cnf: PositiveCnf) -> list[int]:
             for v in members[i + 1 :]:
                 pairs.add(1 << u | 1 << v)
     return sorted(pairs)
+
+
+def gadget_size(which: str, n_vars: int, n_clauses: int) -> int:
+    """Ground size of reduction ``which``'s gadget, known before it is built:
+    the variables and clauses, plus c_{m+1} (acyclic) or a and b."""
+    return n_vars + n_clauses + (1 if which == "acyclic" else 2)
 
 
 def gen_acyclic_instance(cnf: PositiveCnf) -> tuple[ImplicationalBase, int, int]:
@@ -137,8 +148,7 @@ def one_in_three_assignments(
 ) -> list[ElementSet]:
     """All T with exactly one variable of every clause, by exhaustive search."""
     n = len(cnf.variables)
-    if n > max_vars:
-        raise GroundTooLarge(f"{n} variables exceeds maximum {max_vars}")
+    require_cnf_scale(n, max_vars)
     clause_masks = [clause.bits for clause in cnf.clauses]
     out = []
     for mask in range(1 << n):

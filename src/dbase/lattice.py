@@ -86,11 +86,18 @@ def meet_irreducibles(
     return SetFamily.from_bits(ctx.ground, mis).canonicalize()
 
 
-def meet_irreducibles_distributive(binary_ib: ImplicationalBase) -> SetFamily:
+def meet_irreducibles_distributive(
+    binary_ib: ImplicationalBase, ctx: ClosureContext | None = None
+) -> SetFamily:
     """Mi of a distributive system from a binary base, by the direct formula
-    Mi(cs) = {{c | a not in cl(c)} | a in U}."""
-    binary_ib.require_binary()
-    ctx = ClosureContext.from_ib(binary_ib)
+    Mi(cs) = {{c | a not in cl(c)} | a in U}.
+
+    Without ``ctx`` the base is checked to be binary and a context is built
+    from it; a caller already holding both may pass the base's context.
+    """
+    if ctx is None:
+        binary_ib.require_binary()
+        ctx = ClosureContext.from_ib(binary_ib)
     masks = [ctx.full_mask & ~ctx.containers(a) for a in range(len(binary_ib.ground))]
     return SetFamily.from_bits(binary_ib.ground, masks).canonicalize()
 

@@ -30,6 +30,13 @@ ORACLE_MAX_GROUND = 16
 ORACLE_CEILING = 24
 
 
+def require_oracle_scale(n: int, max_ground: int) -> None:
+    """Refuse a ground of ``n`` elements past ``max_ground`` or the ceiling."""
+    limit = min(max_ground, ORACLE_CEILING)
+    if n > limit:
+        raise GroundTooLarge(f"{n} elements exceeds oracle maximum {limit}")
+
+
 class BruteForce:
     """Full closure tables over all subsets, with generator scans on top.
 
@@ -40,9 +47,7 @@ class BruteForce:
     def __init__(self, ctx: ClosureContext, *, max_ground: int = ORACLE_MAX_GROUND):
         import numpy as np
         n = len(ctx.ground)
-        limit = min(max_ground, ORACLE_CEILING)
-        if n > limit:
-            raise GroundTooLarge(f"{n} elements exceeds oracle maximum {limit}")
+        require_oracle_scale(n, max_ground)
         self.ctx = ctx
         self.n = n
         self.masks = np.arange(1 << n, dtype=np.uint32)

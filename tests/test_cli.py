@@ -414,6 +414,31 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == "dbase: error: 27 variables exceeds maximum 16\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--vars", "1000000000"], "variables exceeds maximum 16"),
+            (["--vars", "3", "--clauses", "1000000000"], "elements exceeds oracle maximum 16"),
+            (["--clauses", "40", "--max-oracle", "64"], "elements exceeds oracle maximum 24"),
+        ],
+    )
+    def test_verify_sat_random_checks_sizes_before_building(
+        self, capsys, monkeypatch, flags, message
+    ):
+        # random_cnf is never asked for a formula past a cap: a huge count
+        # would exhaust memory before any check inside verify_reduction.
+        real = random_cnf
+
+        def spy(rng, n_vars, n_clauses):
+            if n_vars > 16 or n_vars + n_clauses + 2 > 24:
+                pytest.fail(f"asked for {n_vars} variables and {n_clauses} clauses")
+            return real(rng, n_vars, n_clauses)
+
+        monkeypatch.setattr("dbase.cli.random_cnf", spy)
+        code = main(["verify-sat", "--reduction", "lb", "--random", "3", *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_oracle_ceiling_is_1(self, capsys, tmp_path):
         big = tmp_path / "big.ib"
         big.write_text("ground: " + " ".join(f"x{i}" for i in range(33)) + "\n")
@@ -430,6 +455,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [([], "the following arguments are required: command"),
+         (["nope"], "argument command: invalid choice: 'nope' (choose from 'close',")],
+    )
+    def test_top_level_errors_name_the_command_argument(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"dbase: error: {message}" in capsys.readouterr().err
 
     UNUSABLE = {
         "missing": "cannot read '{p}': No such file or directory",

@@ -299,6 +299,23 @@ class TestEmbedDualization:
         with pytest.raises(GroundMismatch):
             embed_dualization(ex5_ib, family("54321", "12"))
 
+    def test_one_context_per_gadget(self, ex5_ib, monkeypatch):
+        # The formula for Mi and the check of B+ share the base's context.
+        builds = []
+        init = ClosureContext.__init__
+
+        def counting_init(self, source):
+            builds.append(type(source).__name__)
+            init(self, source)
+
+        monkeypatch.setattr(ClosureContext, "__init__", counting_init)
+        got = embed_dualization(ex5_ib, family("12345", "12", "14", "45"))
+        assert labelsets(got) == {
+            "12", "14", "45",
+            "45_d", "123_d", "145_d", "1234_d", "1245_d",
+        }
+        assert builds == ["ImplicationalBase"]
+
     def test_full_set_gadget_recovers_empty(self, ex5_ib):
         b_plus = family("12345", "12345")
         mi_prime = embed_dualization(ex5_ib, b_plus)

@@ -18,7 +18,7 @@ from dbase import (
     verify_reduction,
 )
 from dbase.errors import GroundTooLarge, ParseError
-from dbase.gadgets import conflict_pairs
+from dbase.gadgets import conflict_pairs, gadget_size
 from dbase.model import iter_bits
 
 from conftest import EX6_CNF, labelsets
@@ -51,6 +51,18 @@ class TestParseCnf:
         labels = " ".join(f"v{i}" for i in range(17))
         with pytest.raises(GroundTooLarge):
             parse_cnf(f"vars: {labels}\nv0 v1 v2\n")
+
+
+@pytest.mark.parametrize(
+    "which, gen",
+    [("acyclic", gen_acyclic_instance), ("lower_bounded", gen_lower_bounded_instance)],
+)
+def test_gadget_size_is_the_built_ground(which, gen):
+    rng = random.Random(7)
+    for _ in range(20):
+        n, m = rng.randint(3, 8), rng.randint(1, 6)
+        ib = gen(random_cnf(rng, n, m))[0]
+        assert len(ib.ground) == gadget_size(which, n, m)
 
 
 class TestAcyclicInstance:
