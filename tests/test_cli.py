@@ -152,6 +152,36 @@ def test_dbase_stdout_is_pinned(capsys, tmp_path, name, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The same six IB runs with their rows sorted: the set of rows, which a
+# change of traversal order keeps.
+PINNED_ROW_SETS = [
+    ("ex9", ["--order", "size-label"],
+     "fbbbd0146d3fb09854a52ea24d0f1c76a9428c77b192320eb7675a4fac542da1"),
+    ("ex9", ["--order", "natural"],
+     "fbbbd0146d3fb09854a52ea24d0f1c76a9428c77b192320eb7675a4fac542da1"),
+    ("lb", ["--order", "size-label"],
+     "992dd8d8a9bb16b445b0fc3e80ebb4dab47b773e3d5c860475c30a2c3e0c9247"),
+    ("lb", ["--order", "natural"],
+     "992dd8d8a9bb16b445b0fc3e80ebb4dab47b773e3d5c860475c30a2c3e0c9247"),
+    ("acg", ["--order", "size-label"],
+     "1a2cf80760b6011be21a00b93bef185826f18b673633f61a769f9c69ed266627"),
+    ("acg", ["--order", "natural"],
+     "1a2cf80760b6011be21a00b93bef185826f18b673633f61a769f9c69ed266627"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, flags, digest", PINNED_ROW_SETS, ids=[f"{n}-{f[-1]}" for n, f, _ in PINNED_ROW_SETS]
+)
+def test_dbase_row_set_is_pinned(capsys, tmp_path, name, flags, digest):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(_PINNED_INPUTS[name])
+    code, out = run_main(capsys, "dbase", str(path), *flags)
+    assert code == 0
+    rows = "\n".join(sorted(out.splitlines()))
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
 class TestOtherCommands:
     def test_mi(self, capsys, ex2_file):
         code, out = run_main(capsys, "mi", ex2_file)

@@ -4,10 +4,11 @@ The digests were computed before the cycle and antichain helpers of
 ``dbase.lattice`` were merged; the merge must not change a single flag,
 arrow or report.  The stream digests cover both D-base routes row by row,
 row order included, so a faster dualizer or traversal must emit exactly the
-same rows in the same order.  The help digest covers every help and usage
-text of the CLI, of the full parser and of each one-command parser, so a
-rebuilt parser must print them byte for byte.  A deliberate change of
-output updates the digest here.
+same rows in the same order.  The IB route's row-set digest leaves that
+order out, so a change that only reorders a traversal keeps it.  The help
+digest covers every help and usage text of the CLI, of the full parser and
+of each one-command parser, so a rebuilt parser must print them byte for
+byte.  A deliberate change of output updates the digest here.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ CLASSIFY_SHA256 = "fb98913f7eddaeb65f04e85472adeff680ccec998143fbcff8871e43f8cd0
 REPORTS_SHA256 = "c1f0edc1c80b1b96390d15253e259652bd7107480884cf4c5801dd700aa5f035"
 MI_STREAM_SHA256 = "0657d61c4bc137c8803c1153e6f66bdc6080ad0cd79ea57efd44d9cfa2b173e2"
 IB_STREAM_SHA256 = "d76c39360ed80411874ab9bda495818a3ab5e6a42a42294569106c53c66c44b2"
+IB_ROW_SETS_SHA256 = "517edeecf78ef8761bf9b55eb57eae39d414fcbdd7759504dd8f8db3e494af7b"
 # argparse lays help out differently from Python 3.13 on.
 HELP_SHA256 = {
     (3, 10): "46597086e14b1efbafcb0ecc126c013413c38158ad0839951b92edcb976e78ed",
@@ -80,14 +82,15 @@ def _mi_stream_lines():
         yield from (imp.format() for imp in iter_d_base_from_mi(mi))
 
 
-def _ib_stream_lines():
+def _ib_stream_lines(arrange=list):
+    # ``arrange=sorted`` gives each input's set of rows, free of their order.
     rng = random.Random(1112)
     for _ in range(100):
         ib = random_standard_ib(rng)
         yield serialize_ib(ib)
         for order in ("size-label", "natural"):
             yield order
-            yield from (imp.format() for imp in iter_d_base(ib, order=order))
+            yield from arrange(imp.format() for imp in iter_d_base(ib, order=order))
 
 
 def _walk(parser, path):
@@ -124,6 +127,10 @@ def test_mi_route_stream_unchanged():
 
 def test_ib_route_stream_unchanged():
     assert _digest(_ib_stream_lines()) == IB_STREAM_SHA256
+
+
+def test_ib_route_row_sets_unchanged():
+    assert _digest(_ib_stream_lines(sorted)) == IB_ROW_SETS_SHA256
 
 
 def test_help_and_usage_unchanged(monkeypatch):
