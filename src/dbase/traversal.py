@@ -4,27 +4,24 @@ For a target element c, the D-generators of c are exactly the D-minimal keys
 of the reduced base (U_c, Sigma_c).  The solution graph on them is traversed
 breadth-first, with transitions obtained by substituting a premise of Sigma_c
 into the binary closure of the current generator and re-minimizing greedily
-(the Min procedure).  The whole D-base enumeration walks the targets one at
-a time in ground order: one graph, one BFS from Min(U_c) and one visited set
-per target, each dropped when its target ends.  That yields every
-implication exactly once with polynomial delay.  The visited set may grow
-exponentially; ``max_states`` caps it.
+(the Min procedure); a transition whose conclusion's cl^b misses the
+generator's is skipped, which loses no D-generator.  The targets go one at a
+time in ground order, each with its own graph, BFS from Min(U_c) and visited
+set.  That yields every implication exactly once with polynomial delay.  The
+visited set may grow exponentially; ``max_states`` caps it.
 
 The traversal never materializes Sigma_c: every closure runs in the one
 context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
 :class:`_SolutionGraph`), and the transitions are read off Sigma directly.
 Nearly all the work is Min's removability tests, each one :func:`chain`
-stopped once it reaches the target.  So each target's graph keeps a memo
-from every set a Min walk passes through to the walk's result, and the sets
-whose test failed, and Min asks both before it chains.  Windows go to Min
-without a spanning test: every window spans by construction, so every memo
-key does too.
+stopped at the target, so each graph remembers walk results and failed
+tests (:meth:`_SolutionGraph.min_reduce`).
 :func:`build_reduced_base` and :func:`reduced_context` remain as the
 paper-level construction that the tests check the traversal against, and
-:func:`min_reduce` and :func:`neighbors` run the paper's own Min and N(A)
-on it.  The reference shares ``_reduced_pairs`` (Sigma_c read off Sigma),
-the element order, U_c, the D-generator test and the standardness check
-with the traversal; its Min, N(A) and closures of Sigma_c are its own.
+:func:`min_reduce` and :func:`neighbors` run the paper's own Min and full
+N(A) on it.  The reference shares ``_reduced_pairs``, the element order,
+U_c, the D-generator test and the standardness check with the traversal;
+its Min, N(A) and closures of Sigma_c are its own.
 """
 from __future__ import annotations
 
@@ -219,6 +216,17 @@ class _SolutionGraph:
        leaves U_c adds some cl(d) with d outside U_c, which holds c.  So the
        chain reaches c iff c in cl(X), in any rule order: exit rules, whose
        mask holds c, go first.
+    7. A transition B -> d whose cut cl^b(A) & cl^b(d) is empty may be
+       dropped: BFS from any seed still reaches every D-generator.  Let G
+       be the visited set at the end, closed under the kept transitions,
+       and A' a D-generator outside G.  Take T inside U_c maximal among the
+       cl^b-closed sets that hold cl^b(A') and hold cl^b(A) for no A in G
+       (cl^b(A') is one, since cl^b(A) inside cl^b(A') forces A = A' by
+       D-minimality).  T spans and is not U_c, so by 3 and 4 some non-binary
+       B -> d of Sigma_c has B in T and d not.  By maximality the
+       cl^b-closed T | cl^b(d) holds cl^b(A) for some A in G, so that cut is
+       not empty, and the window lies in T.  It spans (5), so its Min is in
+       G with cl^b inside T: a contradiction.
 
     By 1 and 3 the windows and Min's extremality tests are those of the
     reduced base, and by 2 the transitions come straight from Sigma.
@@ -264,10 +272,9 @@ class _SolutionGraph:
         does), so each element is tested at most once.
 
         Every set the walk passes through goes into ``memo`` with the
-        result, and a walk stops at its first memo hit.  This is exact
-        because the step taken from a set depends on that set alone (dead
-        elements would fail again), so Min from any set on the walk gives
-        the same result.  Every key spans (a walk starts at U_c or a
+        result, and a walk stops at its first memo hit.  This is exact, as
+        the step taken from a set depends on that set alone (dead elements
+        would fail again).  Every key spans (a walk starts at U_c or a
         window, fact 5, and each step passes a test), so a rest that is a
         key passes, one in ``fails`` fails, and only the others chain over
         ``rules`` (fact 6).  Both are cleared once they hold ``MEMO_CAP``
@@ -309,16 +316,19 @@ class _SolutionGraph:
 
     def windows(self, abits: int) -> set[int]:
         """The distinct windows cl^b((cl^b(A) minus cl^b(d)) union B) of a
-        spanning A, one per transition B -> d; each spans (fact 5).  For
-        S = cl^b(A), cl^b(S minus cl^b(d)) lies in S: it is S minus cl^b(d)
-        plus each cut y whose ``containers`` meet S minus cl^b(d); OR-ing
-        cl^b(B) completes the window, as cl^b distributes over union."""
+        spanning A, one per transition B -> d with a cut (fact 7); each
+        spans (fact 5).  For S = cl^b(A), cl^b(S minus cl^b(d)) is S minus
+        cl^b(d) plus each cut y whose ``containers`` meet S minus cl^b(d);
+        OR-ing cl^b(B) completes the window, as cl^b distributes over
+        union."""
         ctx = self.ctx
         containers = ctx.containers
         clb_a = ctx.close_binary_bits(abits)
         out: set[int] = set()
         for cl_d, premise_closures in self.transitions:
             cut = clb_a & cl_d
+            if not cut:
+                continue
             base = kept = clb_a ^ cut
             while cut:
                 low = cut & -cut
@@ -330,9 +340,9 @@ class _SolutionGraph:
 
     def traverse(self, max_states: int | None = None) -> Iterator[int]:
         """Breadth-first search from Min(U_c), yielding each D-generator of
-        the target once.  The solution graph on genD(c) is strongly
-        connected, so the search reaches all of it; admitting a state past
-        ``max_states`` visited ones raises :class:`StateLimitExceeded`."""
+        the target once; by fact 7 it reaches all of genD(c).  Admitting a
+        state past ``max_states`` visited ones raises
+        :class:`StateLimitExceeded`."""
         visited: set[int] = set()
         queue: deque[int] = deque()
         fresh: Iterable[int] = (self.min_reduce(self.universe),)

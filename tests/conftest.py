@@ -205,6 +205,30 @@ def random_standard_mi(rng: random.Random, max_n: int = 9) -> SetFamily:
             return meet_irreducibles(ctx)
 
 
+def random_mi(rng: random.Random, n: int, sets: int, density: float) -> SetFamily:
+    """The bench's ``mi-random`` generator: ``sets`` random subsets of an
+    n-element ground, each element kept with probability ``density``,
+    reduced to their meet-irreducible members; redrawn until standard."""
+    ground = GroundSet([f"e{i + 1}" for i in range(n)])
+    while True:
+        masks = [
+            sum(1 << i for i in range(n) if rng.random() < density)
+            for _ in range(sets)
+        ]
+        distinct = sorted(set(masks))
+        kept = []
+        for m in distinct:
+            meet = ground.full_mask
+            for k in distinct:
+                if k != m and m & ~k == 0:
+                    meet &= k
+            if meet != m:
+                kept.append(m)
+        family = SetFamily.from_bits(ground, kept)
+        if is_standard(ClosureContext.from_mi(family))[0]:
+            return family
+
+
 def random_binary_ib(rng: random.Random, n: int, m: int) -> ImplicationalBase:
     ground = GroundSet([str(i + 1) for i in range(n)])
     pairs = []

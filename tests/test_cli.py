@@ -125,17 +125,17 @@ _PINNED_INPUTS = {
 # SHA-256 of the exact ``dbase dbase`` stdout, rows in emitted order.
 PINNED_STDOUT = [
     ("ex9", ["--order", "size-label"],
-     "257e24b3286e466d7640d1dcedfb70d9a36424c96d3f4f74fb00f728d2b1fb04"),
+     "e6d991984405f9c1c6c858bf14c2ab5b3e5833df6163dfda1c4efdf38fd3ccc2"),
     ("ex9", ["--order", "natural"],
-     "2f04661a8f738764aa0c36b749e2d5512d532e330c8d5800286eeb03f8d6c368"),
+     "d8fb84e4f702bc530c8a5041c7484a0d3f5e06e9460336cd77020190a29d7052"),
     ("lb", ["--order", "size-label"],
-     "f23d1027299c20f77152d576b85076068b7d085ecd7b8e2c7cedb4ef042d3dd3"),
+     "60cc108ce5d49b1de97622dd694c54903292285865388aeb856e1143f36b714b"),
     ("lb", ["--order", "natural"],
-     "f23d1027299c20f77152d576b85076068b7d085ecd7b8e2c7cedb4ef042d3dd3"),
+     "60cc108ce5d49b1de97622dd694c54903292285865388aeb856e1143f36b714b"),
     ("acg", ["--order", "size-label"],
-     "43d5e79d5a868c43033ad6ae8f4cdc7194646569554cd563a216fcb97caf0922"),
+     "5ce78745acea51faf804235a7da408372d7e6bf30495957534aef074dc431ce8"),
     ("acg", ["--order", "natural"],
-     "43d5e79d5a868c43033ad6ae8f4cdc7194646569554cd563a216fcb97caf0922"),
+     "5ce78745acea51faf804235a7da408372d7e6bf30495957534aef074dc431ce8"),
     ("ex1-mi", ["--from", "mi"],
      "3cbcd5e4abf2e92dc8ab4ab830a69ebeb49c14a2fdaaea4791b8588d3ef1b156"),
 ]

@@ -40,7 +40,7 @@ from conftest import gap_mi_text, random_ib, random_standard_ib, random_standard
 CLASSIFY_SHA256 = "fb98913f7eddaeb65f04e85472adeff680ccec998143fbcff8871e43f8cd09f8"
 REPORTS_SHA256 = "c1f0edc1c80b1b96390d15253e259652bd7107480884cf4c5801dd700aa5f035"
 MI_STREAM_SHA256 = "0657d61c4bc137c8803c1153e6f66bdc6080ad0cd79ea57efd44d9cfa2b173e2"
-IB_STREAM_SHA256 = "d76c39360ed80411874ab9bda495818a3ab5e6a42a42294569106c53c66c44b2"
+IB_STREAM_SHA256 = "01597396af4fbc1bcf3444f01b513cbdb4f1362072d57e36daee1175ee3096bb"
 IB_ROW_SETS_SHA256 = "517edeecf78ef8761bf9b55eb57eae39d414fcbdd7759504dd8f8db3e494af7b"
 # argparse lays help out differently from Python 3.13 on.
 HELP_SHA256 = {

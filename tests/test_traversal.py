@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter, deque
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dbase.traversal
@@ -49,6 +50,7 @@ from conftest import (
     bfs_d_generators_from,
     gap_ib_text,
     labelsets,
+    random_mi,
     random_standard_ib,
 )
 
@@ -301,8 +303,10 @@ def test_chain_test_matches_full_closure(ib):
 @given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
 @settings(max_examples=150, deadline=None)
 def test_neighbors_match_the_graph_windows(ib, order):
-    # N(A) on the reduced base is the set of Min results over the graph's
-    # windows of A, for every D-generator A of every target.
+    # For every D-generator A of every target, the Min results over the
+    # graph's windows of A lie in the paper's N(A) on the reduced base, and
+    # are N(A) restricted to the transitions B -> d whose cut
+    # cl^b(A) & cl^b(d) is not empty (fact 7), with the reduced base's cl^b.
     ctx = ClosureContext.from_ib(ib)
     brute = BruteForce(ctx)
     ground = ib.ground
@@ -313,9 +317,17 @@ def test_neighbors_match_the_graph_windows(ib, order):
         ctx_c = reduced_context(rb)
         graph = _SolutionGraph(ctx, c, order)
         for abits in brute.d_generator_masks(c):
-            want = sorted({graph.min_reduce(w) for w in graph.windows(abits)})
-            got = neighbors(rb, ctx_c, ElementSet(ground, abits))
-            assert [a.bits for a in got] == want
+            got = {graph.min_reduce(w) for w in graph.windows(abits)}
+            full = neighbors(rb, ctx_c, ElementSet(ground, abits))
+            assert got <= {a.bits for a in full}
+            clb_a = ctx_c.close_binary_bits(abits)
+            cut = set()
+            for imp in rb.base.nonbinary():
+                clb_d = ctx_c.close_binary_bits(1 << imp.conclusion)
+                if clb_a & clb_d:
+                    window = ctx_c.close_binary_bits(clb_a & ~clb_d | imp.premise.bits)
+                    cut.add(min_reduce(rb, ctx_c, ElementSet(ground, window)).bits)
+            assert got == cut
 
 
 class TestMinReduce:
@@ -830,8 +842,9 @@ def test_min_never_chains_a_set_twice_per_target_property(ib, order):
 def test_window_cut_is_the_binary_closure(ib):
     # windows() closes cl^b(A) minus cl^b(d) by adding the cut elements
     # whose containers meet the rest; that is cl^b of the rest, for every
-    # D-generator A and every transition.  A transition with the single
-    # premise closure 0 makes its window exactly that base.
+    # D-generator A and every transition with a cut, and a transition
+    # without one gives no window.  A transition with the single premise
+    # closure 0 makes its window exactly that base.
     ctx = ClosureContext.from_ib(ib)
     brute = BruteForce(ctx)
     for c in range(len(ib.ground)):
@@ -843,7 +856,68 @@ def test_window_cut_is_the_binary_closure(ib):
             clb_a = ctx.close_binary_bits(abits)
             for cl_d, _ in transitions:
                 graph.transitions = [(cl_d, (0,))]
-                assert graph.windows(abits) == {ctx.close_binary_bits(clb_a & ~cl_d)}
+                want = {ctx.close_binary_bits(clb_a & ~cl_d)} if clb_a & cl_d else set()
+                assert graph.windows(abits) == want
+
+
+# Keeping only the transitions with d in cl^b(A) strands a D-generator here.
+_STRICT_RULE_MISSES = parse_ib(
+    "ground: 1 2 3 4 5\n1 -> 5\n1 2 5 -> 4\n2 4 -> 1\n2 5 -> 3\n"
+)
+
+
+def _reaches_every_d_generator_from_each(ib, order):
+    # Fact 7: BFS over the graph's windows and Min, started from any
+    # D-generator of c, reaches every D-generator of c and nothing else.
+    ctx = ClosureContext.from_ib(ib)
+    brute = BruteForce(ctx)
+    for c in range(len(ib.ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        graph = _SolutionGraph(ctx, c, order)
+        gens = set(brute.d_generator_masks(c))
+        for seed in gens:
+            reached, queue = {seed}, deque([seed])
+            while queue:
+                windows = graph.windows(queue.popleft())
+                for bits in {graph.min_reduce(w) for w in windows}:
+                    if bits not in reached:
+                        reached.add(bits)
+                        queue.append(bits)
+            assert reached == gens
+
+
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
+@example(_STRICT_RULE_MISSES, "size-label")
+@settings(max_examples=150, deadline=None)
+def test_graph_reaches_every_d_generator_from_each(ib, order):
+    _reaches_every_d_generator_from_each(ib, order)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("order", ["size-label", "natural"])
+def test_graph_reaches_every_d_generator_from_each_on_gadgets(seed, order):
+    cnf = random_cnf(random.Random(seed), 5, 4)
+    for gen in (gen_lower_bounded_instance, gen_acyclic_instance):
+        _reaches_every_d_generator_from_each(gen(cnf)[0], order)
+
+
+class TestRoundTrip:
+    # A D-base is an IB of the same closure system, so the IB route run on
+    # it must give back exactly its rows, each once.
+
+    def test_ib_route_gives_back_the_mi_routes_d_base(self):
+        mi = random_mi(random.Random(1), 20, 30, 0.85)
+        rows = list(iter_d_base_from_mi(mi))
+        assert len(set(rows)) == len(rows) == 325
+        back = iter_d_base(ImplicationalBase(mi.ground, rows))
+        assert Counter(back) == Counter(rows)
+
+    def test_ib_route_gives_back_its_own_d_base(self):
+        ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+        rows = list(iter_d_base(ib))
+        back = iter_d_base(ImplicationalBase(ib.ground, rows))
+        assert Counter(back) == Counter(rows)
 
 
 class TestStrongConnectivity:
