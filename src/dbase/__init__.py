@@ -41,7 +41,6 @@ from .lattice import (
     d_relation,
     delta_relation,
     down_arrow,
-    enumerate_closed_sets,
     meet_irreducibles,
     meet_irreducibles_distributive,
     up_arrow,
@@ -61,7 +60,6 @@ from .model import (
 )
 from .oracle import (
     BruteForce,
-    brute_canonical_direct_base,
     brute_dual,
 )
 from .traversal import (
@@ -95,7 +93,6 @@ __all__ = [
     "Relation",
     "SetFamily",
     "binary_part",
-    "brute_canonical_direct_base",
     "brute_dual",
     "classify",
     "d_base",
@@ -106,7 +103,6 @@ __all__ = [
     "down_arrow",
     "dualize_distributive",
     "embed_dualization",
-    "enumerate_closed_sets",
     "enumerate_d_generators",
     "extreme_elements",
     "gen_acyclic_instance",

@@ -79,10 +79,10 @@ def _load_family(args: argparse.Namespace, path: str):
     return parse_set_family(_read(path), max_ground=args.max_ground)
 
 
-def _context(args: argparse.Namespace, path: str) -> ClosureContext:
+def _source(args: argparse.Namespace, path: str):
     if args.source == "mi":
-        return ClosureContext.from_mi(_load_family(args, path))
-    return ClosureContext.from_ib(_load_ib(args, path))
+        return _load_family(args, path)
+    return _load_ib(args, path)
 
 
 def _print(text: str, quiet: bool = False) -> None:
@@ -93,7 +93,7 @@ def _print(text: str, quiet: bool = False) -> None:
 
 
 def _cmd_close(args) -> int:
-    ctx = _context(args, args.file)
+    ctx = ClosureContext(_source(args, args.file))
     aset = ctx.ground.set_of(args.set.split())
     closed = ctx.close_binary(aset) if args.binary else ctx.close(aset)
     _print(" ".join(closed.labels()))
@@ -101,7 +101,7 @@ def _cmd_close(args) -> int:
 
 
 def _cmd_binary_part(args) -> int:
-    _print(serialize_ib(binary_part(_context(args, args.file))))
+    _print(serialize_ib(binary_part(ClosureContext(_source(args, args.file)))))
     return 0
 
 
@@ -135,7 +135,7 @@ def _cmd_dualize(args) -> int:
 def _cmd_relations(args) -> int:
     mi = _load_family(args, args.file)
     if args.which == "d":
-        rel = d_relation(mi, ClosureContext.from_mi(mi))
+        rel = d_relation(mi)
     else:
         rel = delta_relation(mi)
     sys.stdout.write(serialize_relation(rel))
@@ -223,8 +223,8 @@ def _cmd_oracle(args) -> int:
             )
         )
         return 0
-    ctx = _context(args, args.file)
-    brute = BruteForce(ctx, max_ground=args.max_oracle)
+    source = _source(args, args.file)
+    brute = BruteForce(source, max_ground=args.max_oracle)
     if args.oracle_cmd == "cdb":
         _print(serialize_ib(brute.canonical_direct_base()))
     elif args.oracle_cmd == "dbase":
@@ -232,7 +232,7 @@ def _cmd_oracle(args) -> int:
     elif args.oracle_cmd == "drel":
         sys.stdout.write(serialize_relation(brute.d_relation()))
     else:
-        c = ctx.ground.position(args.element)
+        c = source.ground.position(args.element)
         sets = (
             brute.minimal_generators(c)
             if args.oracle_cmd == "gens"

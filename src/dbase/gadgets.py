@@ -42,13 +42,13 @@ class PositiveCnf(namedtuple("PositiveCnf", "variables clauses")):
         return super().__new__(cls, variables, clauses)
 
 
-def require_cnf_scale(n_vars: int, max_vars: int = MAX_CNF_VARS) -> None:
-    """Refuse a formula of more than ``max_vars`` variables."""
-    if n_vars > max_vars:
-        raise GroundTooLarge(f"{n_vars} variables exceeds maximum {max_vars}")
+def require_cnf_scale(n_vars: int) -> None:
+    """Refuse a formula of more than ``MAX_CNF_VARS`` variables."""
+    if n_vars > MAX_CNF_VARS:
+        raise GroundTooLarge(f"{n_vars} variables exceeds maximum {MAX_CNF_VARS}")
 
 
-def parse_cnf(text: str, *, max_vars: int = MAX_CNF_VARS) -> PositiveCnf:
+def parse_cnf(text: str) -> PositiveCnf:
     """Parse ``vars: <label>+`` then one clause of exactly 3 labels per line."""
     lines = _content_lines(text)
     if not lines or lines[0][0] != "vars:":
@@ -56,7 +56,7 @@ def parse_cnf(text: str, *, max_vars: int = MAX_CNF_VARS) -> PositiveCnf:
     labels = lines[0][1:]
     if not labels:
         raise ParseError("vars line declares no variables")
-    require_cnf_scale(len(labels), max_vars)
+    require_cnf_scale(len(labels))
     if any(label.startswith("_") for label in labels):
         raise ParseError("variable labels may not start with '_' (reserved)")
     variables = GroundSet(labels)
@@ -143,12 +143,10 @@ def gen_lower_bounded_instance(cnf: PositiveCnf) -> tuple[ImplicationalBase, int
     return ImplicationalBase.build(ground, pairs), a, b
 
 
-def one_in_three_assignments(
-    cnf: PositiveCnf, *, max_vars: int = MAX_CNF_VARS
-) -> list[ElementSet]:
+def one_in_three_assignments(cnf: PositiveCnf) -> list[ElementSet]:
     """All T with exactly one variable of every clause, by exhaustive search."""
     n = len(cnf.variables)
-    require_cnf_scale(n, max_vars)
+    require_cnf_scale(n)
     clause_masks = [clause.bits for clause in cnf.clauses]
     out = []
     for mask in range(1 << n):
@@ -194,8 +192,7 @@ def verify_reduction(
         ib, source, target = gen_lower_bounded_instance(cnf)
     else:
         raise ValueError(f"unknown reduction {which!r}")
-    ctx = ClosureContext.from_ib(ib)
-    brute = BruteForce(ctx, max_ground=max_ground)
+    brute = BruteForce(ib, max_ground=max_ground)
     d_holds = any(g >> source & 1 for g in brute.d_generator_masks(target))
     if which == "acyclic":
         checks = {
@@ -208,7 +205,7 @@ def verify_reduction(
         depth = longest_path(len(ib.ground), d_rel.arcs)
         var_range = range(len(cnf.variables))
         checks = {
-            "standard": is_standard(ctx)[0],
+            "standard": is_standard(ClosureContext.from_ib(ib))[0],
             "d_relation_acyclic": depth is not None,
             "d_paths_at_most_2": depth is not None and depth <= 2,
             "d_out_of_a_empty": not any(c == source for c, _ in d_rel.arcs),

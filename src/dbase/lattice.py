@@ -1,7 +1,7 @@
 """Closed-set enumeration, meet-irreducibles, arrows, and the two relations.
 
-Everything here except ``meet_irreducibles_distributive`` walks the closed-set
-lattice and is gated by a desk-scale ground size limit.
+``meet_irreducibles`` walks the closed-set lattice, gated by a desk-scale
+ground size; the arrows and relations read Mi alone.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from collections.abc import Iterable, Iterator
 from .closure import ClosureContext
 from .errors import GroundTooLarge
 from .model import (
-    ElementSet,
     ImplicationalBase,
     Relation,
     SetFamily,
@@ -46,15 +45,6 @@ def closed_set_masks(ctx: ClosureContext) -> Iterator[int]:
         else:
             return
         yield current
-
-
-def enumerate_closed_sets(
-    ctx: ClosureContext, *, max_ground: int = DESK_MAX_GROUND
-) -> Iterator[ElementSet]:
-    """Every closed set exactly once, in lectic order."""
-    _require_desk_scale(len(ctx.ground), max_ground)
-    for mask in closed_set_masks(ctx):
-        yield ElementSet(ctx.ground, mask)
 
 
 def _minimal_masks(masks: list[int]) -> list[int]:
@@ -111,10 +101,15 @@ def up_arrow(mi: SetFamily, a: int) -> SetFamily:
     return SetFamily.from_bits(mi.ground, maximal).canonicalize()
 
 
-def down_arrow(mi: SetFamily, a: int, ctx: ClosureContext) -> SetFamily:
-    """Members omitting ``a`` but containing cl(a) minus a (M down-arrow a)."""
-    body = ctx.singleton_closure(a) & ~(1 << a)
-    hits = [m for m in mi.bit_list() if not m >> a & 1 and body & ~m == 0]
+def down_arrow(mi: SetFamily, a: int) -> SetFamily:
+    """Members omitting ``a`` but containing cl(a) minus a (M down-arrow a);
+    cl(a) is the meet of the members holding a."""
+    masks = mi.bit_list()
+    body = mi.ground.full_mask & ~(1 << a)
+    for m in masks:
+        if m >> a & 1:
+            body &= m
+    hits = [m for m in masks if not m >> a & 1 and body & ~m == 0]
     return SetFamily.from_bits(mi.ground, hits).canonicalize()
 
 
@@ -129,10 +124,10 @@ def delta_relation(mi: SetFamily) -> Relation:
     return Relation(mi.ground, arcs)
 
 
-def d_relation(mi: SetFamily, ctx: ClosureContext) -> Relation:
+def d_relation(mi: SetFamily) -> Relation:
     """c D a: some meet-irreducible M has c up-arrow M down-arrow a."""
     n = len(mi.ground)
-    downs = [set(down_arrow(mi, a, ctx).bit_list()) for a in range(n)]
+    downs = [set(down_arrow(mi, a).bit_list()) for a in range(n)]
     arcs = set()
     for c in range(n):
         ups = up_arrow(mi, c).bit_list()
@@ -176,11 +171,10 @@ def classify(
     ib: ImplicationalBase, *, max_ground: int = DESK_MAX_GROUND
 ) -> Classification:
     """Acyclicity of delta and D (computed from Mi at desk scale) plus G(Sigma)."""
-    ctx = ClosureContext.from_ib(ib)
-    mi = meet_irreducibles(ctx, max_ground=max_ground)
+    mi = meet_irreducibles(ClosureContext.from_ib(ib), max_ground=max_ground)
     n = len(ib.ground)
     return Classification(
         is_acyclic=longest_path(n, delta_relation(mi).arcs) is not None,
-        is_lower_bounded=longest_path(n, d_relation(mi, ctx).arcs) is not None,
+        is_lower_bounded=longest_path(n, d_relation(mi).arcs) is not None,
         graph_acyclic=implication_graph_acyclic(ib),
     )

@@ -3,17 +3,14 @@
 Everything here enumerates all 2^|U| subsets and exists solely to cross-check
 the real algorithms: the tests, the ``cdb``, ``oracle`` and ``verify-sat``
 commands and ``gadgets.verify_reduction`` use it, neither D-base route does.
-:class:`BruteForce` is the one entry point of the scans.  Its tables are built
-from the input alone (a context's ``source``, ``ground`` and ``full_mask``),
-never from the context's closure kernel, so they referee that kernel too.
-They are vectorized with numpy, imported only when a table is built or
-scanned.
+:class:`BruteForce` is the one entry point of the scans.  It takes the input,
+an IB or a family, and imports nothing of the closure kernel it referees.
+Its tables are vectorized with numpy, imported only when one is built.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from .closure import ClosureContext
 from .errors import GroundTooLarge
 from .model import (
     ElementSet,
@@ -40,23 +37,28 @@ def require_oracle_scale(n: int, max_ground: int) -> None:
 class BruteForce:
     """Full closure tables over all subsets, with generator scans on top.
 
-    ``cl`` is computed from ``ctx.source`` alone, and ``clb`` and the binary
-    rows from the singleton rows of ``cl``; no closure of ``ctx`` is called.
+    ``cl`` is computed from ``source``, and ``clb`` and the binary rows from
+    the singleton rows of ``cl``.
     """
 
-    def __init__(self, ctx: ClosureContext, *, max_ground: int = ORACLE_MAX_GROUND):
+    def __init__(
+        self,
+        source: ImplicationalBase | SetFamily,
+        *,
+        max_ground: int = ORACLE_MAX_GROUND,
+    ):
         import numpy as np
-        n = len(ctx.ground)
+        n = len(source.ground)
         require_oracle_scale(n, max_ground)
-        self.ctx = ctx
+        self.ground = source.ground
         self.n = n
         self.masks = np.arange(1 << n, dtype=np.uint32)
-        self.cl = self._closure_table()
+        self.cl = self._closure_table(source)
         self.clb = self._binary_closure_table()
 
-    def _closure_table(self) -> np.ndarray:
+    def _closure_table(self, source: ImplicationalBase | SetFamily) -> np.ndarray:
         import numpy as np
-        source, masks, full = self.ctx.source, self.masks, self.ctx.full_mask
+        masks, full = self.masks, self.ground.full_mask
         if isinstance(source, SetFamily):
             cl = np.full(len(masks), np.uint32(full), dtype=np.uint32)
             for m in source.bit_list():
@@ -116,29 +118,29 @@ class BruteForce:
         return out
 
     def minimal_generators(self, c: int) -> list[ElementSet]:
-        return [ElementSet(self.ctx.ground, m) for m in self.minimal_generator_masks(c)]
+        return [ElementSet(self.ground, m) for m in self.minimal_generator_masks(c)]
 
     def d_generators(self, c: int) -> list[ElementSet]:
-        return [ElementSet(self.ctx.ground, m) for m in self.d_generator_masks(c)]
+        return [ElementSet(self.ground, m) for m in self.d_generator_masks(c)]
 
     def canonical_direct_base(self) -> ImplicationalBase:
         pairs = []
         for c in range(self.n):
             pairs.extend((m, c) for m in self.minimal_generator_masks(c))
-        return ImplicationalBase.build(self.ctx.ground, pairs).canonicalize()
+        return ImplicationalBase.build(self.ground, pairs).canonicalize()
 
     def _binary_pairs(self) -> list[tuple[int, int]]:
         pairs = []
         for a in range(self.n):
             rest = int(self.cl[1 << a]) & ~(1 << a)
-            pairs.extend((1 << a, c) for c in ElementSet(self.ctx.ground, rest))
+            pairs.extend((1 << a, c) for c in ElementSet(self.ground, rest))
         return pairs
 
     def d_base(self) -> ImplicationalBase:
         pairs = self._binary_pairs()
         for c in range(self.n):
             pairs.extend((m, c) for m in self.d_generator_masks(c))
-        return ImplicationalBase.build(self.ctx.ground, pairs).canonicalize()
+        return ImplicationalBase.build(self.ground, pairs).canonicalize()
 
     def _relation(self, generator_masks: Callable[[int], list[int]]) -> Relation:
         # c R a whenever a lies in some generator of c.
@@ -146,7 +148,7 @@ class BruteForce:
         for c in range(self.n):
             for m in generator_masks(c):
                 arcs.update((c, a) for a in iter_bits(m))
-        return Relation(self.ctx.ground, arcs)
+        return Relation(self.ground, arcs)
 
     def d_relation(self) -> Relation:
         return self._relation(self.d_generator_masks)
@@ -160,12 +162,6 @@ class BruteForce:
         return [int(m) for m in eq]
 
 
-def brute_canonical_direct_base(
-    ctx: ClosureContext, *, max_ground: int = ORACLE_MAX_GROUND
-) -> ImplicationalBase:
-    return BruteForce(ctx, max_ground=max_ground).canonical_direct_base()
-
-
 def brute_dual(
     binary_ib: ImplicationalBase,
     b_plus: SetFamily,
@@ -177,7 +173,7 @@ def brute_dual(
     B+ must be an antichain of closed sets, decided from the oracle's own
     closure table."""
     binary_ib.require_binary()
-    brute = BruteForce(ClosureContext.from_ib(binary_ib), max_ground=max_ground)
+    brute = BruteForce(binary_ib, max_ground=max_ground)
     uppers = check_antichain_of_closed(
         b_plus, binary_ib.ground, lambda m: int(brute.cl[m])
     )
@@ -191,24 +187,20 @@ def brute_dual(
     return SetFamily.from_bits(binary_ib.ground, minimal).canonicalize()
 
 
-def closure_rounds(ctx: ClosureContext, aset: ElementSet) -> Iterator[ElementSet]:
+def closure_rounds(ib: ImplicationalBase, aset: ElementSet) -> Iterator[ElementSet]:
     """The chain A = C0, C1, ... up to cl(A): one round of firing per step.
 
-    Only defined for implication-sourced contexts; this is the reference
-    semantics ``ClosureContext.close`` and its ``chain`` must agree with.
+    The reference semantics the closure kernel's ``chain`` must agree with.
     An empty premise fires in the first round.
     """
-    source = ctx.source
-    if not isinstance(source, ImplicationalBase):
-        raise TypeError("closure_rounds requires an implication-sourced context")
     cur = aset.bits
-    yield ElementSet(ctx.ground, cur)
+    yield ElementSet(ib.ground, cur)
     while True:
         nxt = cur
-        for imp in source:
+        for imp in ib:
             if imp.premise.bits & ~cur == 0:
                 nxt |= 1 << imp.conclusion
         if nxt == cur:
             return
         cur = nxt
-        yield ElementSet(ctx.ground, cur)
+        yield ElementSet(ib.ground, cur)

@@ -14,7 +14,6 @@ from dbase import (
     ClosureContext,
     ImplicationalBase,
     binary_part,
-    brute_canonical_direct_base,
     build_reduced_base,
     d_base,
     d_base_from_mi,
@@ -67,7 +66,7 @@ def test_criterion_1_running_example_exactness():
     mi_ok = labelsets(mi) == {
         "356", "13", "15", "1356", "1456", "124", "2456", "12456",
     }
-    cdb = brute_canonical_direct_base(ctx)
+    cdb = BruteForce(ib).canonical_direct_base()
     cdb_ok = serialize_ib(cdb) == EX3_CDB and len(cdb) == 12
     dbase = d_base(ib)
     dbase_ok = serialize_ib(dbase) == EX4_DBASE and len(dbase) == 8
@@ -147,7 +146,7 @@ def test_criterion_4_gap_family_scaling(tmp_path, capsys):
     # summary "2^n + 1" contradicts the displayed base; the display wins
     # (see the decisions ledger), so the exact expected size is 2^10 + 10.
     ib10 = parse_ib(gap_ib_text(10))
-    brute = BruteForce(ClosureContext.from_ib(ib10), max_ground=21)
+    brute = BruteForce(ib10, max_ground=21)
     c = ib10.ground.position("c")
     rows_for_c = len(brute.minimal_generator_masks(c))
     cdb_size = len(brute.canonical_direct_base())
@@ -183,15 +182,14 @@ def test_criterion_5_cross_route_oracle_equivalence():
         )
         mi_base = ImplicationalBase(ib.ground, list(stream_mi)).canonicalize()
 
-        brute = BruteForce(ctx)
+        brute = BruteForce(ib)
         assert main_base == mi_base == brute.d_base()
 
         out_ctx = ClosureContext.from_ib(main_base)
         for bits in range(1 << n):
             assert ctx.close_bits(bits) == out_ctx.close_bits(bits)
 
-        mi_ctx = ClosureContext.from_mi(mi)
-        assert d_relation(mi, mi_ctx).arcs <= delta_relation(mi).arcs
+        assert d_relation(mi).arcs <= delta_relation(mi).arcs
         assert brute.d_relation().arcs <= brute.delta_relation().arcs
 
         bp = binary_part(ctx)

@@ -61,7 +61,7 @@ class TestClose:
                 ib = ImplicationalBase.build(base.ground, pairs + added)
                 ctx = ClosureContext.from_ib(ib)
                 for bits in range(1 << n):
-                    rounds = list(closure_rounds(ctx, ElementSet(ib.ground, bits)))
+                    rounds = list(closure_rounds(ib, ElementSet(ib.ground, bits)))
                     assert ctx.close_bits(bits) == rounds[-1].bits
 
 

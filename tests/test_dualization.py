@@ -175,11 +175,11 @@ class TestDGeneratorsFromMi:
         for c in range(5):
             assert d_generators_from_mi(mi, c) == []
 
-    def test_running_example_element_6(self, ex1_mi, ex2_ctx):
+    def test_running_example_element_6(self, ex1_mi, ex2_ib):
         six = ex1_mi.ground.position("6")
         got = d_generators_from_mi(ex1_mi, six)
         assert labelsets(got) == {"34", "35", "45"}
-        brute = BruteForce(ex2_ctx)
+        brute = BruteForce(ex2_ib)
         assert {s.bits for s in got} == set(brute.d_generator_masks(six))
 
     @pytest.mark.parametrize(
@@ -197,7 +197,7 @@ class TestDGeneratorsFromMi:
 
     def test_dual_size_is_generator_count_plus_one(self, ex8_mi, ex8_ib):
         bp = binary_part(ClosureContext.from_mi(ex8_mi))
-        brute = BruteForce(ClosureContext.from_ib(ex8_ib))
+        brute = BruteForce(ex8_ib)
         for c in range(5):
             dual = dualize_distributive(bp, up_arrow(ex8_mi, c))
             assert len(dual) == len(brute.d_generator_masks(c)) + 1
@@ -518,7 +518,7 @@ def small_standard_ibs(draw):
 @settings(max_examples=200, deadline=None)
 def test_routes_and_oracle_agree_property(ib):
     ctx = ClosureContext.from_ib(ib)
-    want = BruteForce(ctx).d_base()
+    want = BruteForce(ib).d_base()
     assert d_base_from_mi(meet_irreducibles(ctx)) == want
     for order in ("size-label", "natural"):
         rows = list(iter_d_base(ib, order=order))

@@ -198,13 +198,13 @@ class TestVerification:
         for _ in range(15):
             cnf = random_cnf(rng, rng.randint(3, 6), rng.randint(1, 4))
             ib, _, target = gen_acyclic_instance(cnf)
-            brute = BruteForce(ClosureContext.from_ib(ib))
+            brute = BruteForce(ib)
             got = set(brute.minimal_generator_masks(target))
             assert got == minimal_generator_characterization(cnf)
 
     def test_lower_bounded_terminal_elements(self, ex6):
         ib, a, b = gen_lower_bounded_instance(ex6)
-        brute = BruteForce(ClosureContext.from_ib(ib))
+        brute = BruteForce(ib)
         rel = brute.d_relation()
         n_vars = len(ex6.variables)
         assert not any(c == a for c, _ in rel.arcs)
