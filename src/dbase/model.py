@@ -46,6 +46,20 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+_SET_BIT_FIRST = str.maketrans("01", "10")
+
+
+def _index_order_key(bits: int) -> str:
+    """A sort key that orders masks as ``tuple(iter_bits(bits))`` does.
+
+    Character i stands for element i, ``0`` when it is present, so the first
+    element in which two sets differ decides, the set holding it first, and
+    a set whose elements begin another's sorts first.  Built by C-level
+    string operations, with no Python loop over the bits.
+    """
+    return bin(bits)[:1:-1].translate(_SET_BIT_FIRST) if bits else ""
+
+
 class GroundSet:
     """Ordered universe of distinct element labels with dense indexing."""
 
@@ -291,7 +305,7 @@ class SetFamily:
         return f"SetFamily({', '.join(repr(s) for s in self.sets)})"
 
     def canonicalize(self) -> "SetFamily":
-        masks = sorted(set(self.bit_list()), key=lambda m: tuple(iter_bits(m)))
+        masks = sorted(set(self.bit_list()), key=_index_order_key)
         return SetFamily.from_bits(self.ground, masks)
 
 

@@ -13,6 +13,9 @@ visited set may grow exponentially; ``max_states`` caps it.
 The traversal never materializes Sigma_c: every closure runs in the one
 context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
 :class:`_SolutionGraph`), and the transitions are read off Sigma directly.
+What does not depend on the target is made once per run: Min's steps in the
+element order, and Sigma with the cl^b of each premise.  Each target's graph
+is cut out of these two tables by U_c with bit operations alone.
 Nearly all the work is Min's removability tests, each one :func:`chain`
 stopped at the target, so each graph remembers walk results and failed
 tests (:meth:`_SolutionGraph.min_reduce`).
@@ -113,19 +116,32 @@ def element_order(ctx: ClosureContext, policy: str = "size-label") -> tuple[int,
     )
 
 
+def _min_steps(ctx: ClosureContext, order: str) -> tuple[tuple[int, int], ...]:
+    # Min's steps (bit, containers) of every element, in the element order.
+    return tuple((1 << x, ctx.containers(x)) for x in element_order(ctx, order))
+
+
+def _premise_table(ctx: ClosureContext) -> tuple[tuple[int, int, int], ...]:
+    # Sigma as (premise bits, cl^b(premise), conclusion), in the order of Sigma.
+    clb = ctx.close_binary_bits
+    return tuple(
+        (imp.premise.bits, clb(imp.premise.bits), imp.conclusion) for imp in ctx.source
+    )
+
+
 def _reduced_pairs(
-    ib: ImplicationalBase, ctx: ClosureContext, ubits: int
-) -> Iterator[tuple[int, int]]:
-    # Sigma_c as (premise bits, conclusion) pairs, in the order of Sigma.
-    for imp in ib:
-        pbits = imp.premise.bits
+    sigma: tuple[tuple[int, int, int], ...], ubits: int
+) -> Iterator[tuple[int, int, int]]:
+    # Sigma_c as (premise bits, cl^b(premise), conclusion), in the order of
+    # Sigma, read off ``_premise_table``.
+    for pbits, clb, d in sigma:
         if pbits & ~ubits:
             continue
-        if ubits >> imp.conclusion & 1:
-            yield pbits, imp.conclusion
+        if ubits >> d & 1:
+            yield pbits, clb, d
         else:
-            for b in iter_bits(ubits & ~ctx.close_binary_bits(pbits)):
-                yield pbits, b
+            for b in iter_bits(ubits & ~clb):
+                yield pbits, clb, b
 
 
 class ReducedBase(namedtuple("ReducedBase", "target universe base ordering")):
@@ -155,7 +171,8 @@ def build_reduced_base(
         raise NoDGenerators(f"{ib.ground.label(c)!r} has no D-generators")
     universe = restricted_universe(ctx, c)
     ubits = universe.bits
-    base = ImplicationalBase.build(ib.ground, _reduced_pairs(ib, ctx, ubits))
+    pairs = _reduced_pairs(_premise_table(ctx), ubits)
+    base = ImplicationalBase.build(ib.ground, ((p, d) for p, _, d in pairs))
     ordering = tuple(a for a in element_order(ctx, order) if ubits >> a & 1)
     return ReducedBase(target=c, universe=universe, base=base, ordering=ordering)
 
@@ -232,28 +249,42 @@ class _SolutionGraph:
     reduced base, and by 2 the transitions come straight from Sigma.
     ``memo`` and ``fails`` (see :meth:`min_reduce`) last the target's whole
     traversal.
+
+    From the run the graph gets the context and two tables that hold for
+    every target: ``steps``, each element's (bit, containers) in the
+    element order, and ``sigma``, each implication of Sigma as (premise
+    bits, cl^b(premise), conclusion).  It keeps the steps inside U_c, the
+    context's rules with premise inside U_c (exit rules first), and groups
+    the non-singleton premises' cl^b in Sigma_c (``_reduced_pairs``) by
+    conclusion, so that it computes no closure of its own.
     """
 
     __slots__ = (
         "ctx", "cbit", "universe", "steps", "rules", "transitions", "memo", "fails"
     )
 
-    def __init__(self, ctx: ClosureContext, c: int, order: str):
+    def __init__(
+        self,
+        ctx: ClosureContext,
+        c: int,
+        steps: tuple[tuple[int, int], ...],
+        sigma: tuple[tuple[int, int, int], ...],
+    ):
         universe = restricted_universe(ctx, c).bits
         self.ctx = ctx
         self.cbit = cbit = 1 << c
         self.universe = universe
-        self.steps = tuple(
-            (1 << x, ctx.containers(x))
-            for x in element_order(ctx, order)
-            if universe >> x & 1
-        )
-        inside = (r for r in ctx.rules if r[0] & ~universe == 0)
-        self.rules = tuple(sorted(inside, key=lambda r: not r[1] & cbit))
+        self.steps = tuple(step for step in steps if step[0] & universe)
+        exits: list[tuple[int, int]] = []
+        others: list[tuple[int, int]] = []
+        for rule in ctx.rules:
+            if rule[0] & ~universe == 0:
+                (exits if rule[1] & cbit else others).append(rule)
+        self.rules = (*exits, *others)
         groups: dict[int, set[int]] = {}
-        for pbits, d in _reduced_pairs(ctx.source, ctx, universe):
+        for pbits, clb, d in _reduced_pairs(sigma, universe):
             if pbits.bit_count() != 1:
-                groups.setdefault(d, set()).add(ctx.close_binary_bits(pbits))
+                groups.setdefault(d, set()).add(clb)
         self.transitions = [
             (ctx.singleton_closure(d), tuple(clbs)) for d, clbs in groups.items()
         ]
@@ -407,7 +438,8 @@ def enumerate_d_generators(
     _require_standard(ctx)
     if not has_d_generators(ctx, c):
         return
-    for bits in _SolutionGraph(ctx, c, order).traverse():
+    graph = _SolutionGraph(ctx, c, _min_steps(ctx, order), _premise_table(ctx))
+    for bits in graph.traverse():
         yield ElementSet(ib.ground, bits)
 
 
@@ -422,12 +454,13 @@ def iter_d_base(
     traversal visits A.  ``max_states`` caps each target's visited set."""
     ctx = ClosureContext.from_ib(ib)
     _require_standard(ctx)
+    steps, sigma = _min_steps(ctx, order), _premise_table(ctx)
     yield from binary_part(ctx)
     ground = ib.ground
     for c in range(len(ground)):
         if has_d_generators(ctx, c):
             # The graph, its memo and its visited set die with the loop.
-            for bits in _SolutionGraph(ctx, c, order).traverse(max_states):
+            for bits in _SolutionGraph(ctx, c, steps, sigma).traverse(max_states):
                 yield Implication(ElementSet(ground, bits), c)
 
 

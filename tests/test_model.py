@@ -28,6 +28,7 @@ from dbase.errors import (
     ParseError,
     UnknownElement,
 )
+from dbase.model import DEFAULT_MAX_GROUND, _index_order_key, iter_bits
 
 from conftest import EX1_MI, EX2_IB, EX4_DBASE, labelsets
 
@@ -321,3 +322,29 @@ def test_records_keep_their_fields():
         PositiveCnf(ground, (GroundSet(["a", "b", "c"]).full(),))
     with pytest.raises(ValueError, match="exactly 3 variables"):
         PositiveCnf(ground, (ground.set_of("ab"),))
+
+
+_masks = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 12) - 1),
+    st.frozensets(st.integers(min_value=0, max_value=140)).map(
+        lambda idx: sum(1 << i for i in idx)
+    ),
+    st.integers(min_value=0, max_value=(1 << 200) - 1),
+)
+
+
+@given(st.lists(_masks, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_index_order_key_sorts_like_index_tuples(drawn):
+    # SetFamily.canonicalize sorts by this key; it must order any two masks
+    # as their tuples of set-bit indices do, the empty and the full mask
+    # included.
+    full = (1 << DEFAULT_MAX_GROUND) - 1
+    masks = [0, full, full >> 1, 1 << (DEFAULT_MAX_GROUND - 1), *drawn]
+    for a in masks:
+        for b in masks:
+            want = tuple(iter_bits(a)) < tuple(iter_bits(b))
+            assert (_index_order_key(a) < _index_order_key(b)) == want
+    assert sorted(masks, key=_index_order_key) == sorted(
+        masks, key=lambda m: tuple(iter_bits(m))
+    )

@@ -41,7 +41,7 @@ from dbase.errors import (
 )
 from dbase.gadgets import gen_acyclic_instance, gen_lower_bounded_instance, random_cnf
 from dbase.model import iter_bits
-from dbase.traversal import _SolutionGraph
+from dbase.traversal import _SolutionGraph, _min_steps, _premise_table
 
 from conftest import (
     EX4_DBASE,
@@ -273,6 +273,12 @@ def test_key_equivalence_property(ib):
             )
 
 
+def _graph(ctx: ClosureContext, c: int, order: str) -> _SolutionGraph:
+    # Target c's graph, on tables made the way one run of iter_d_base makes
+    # them.
+    return _SolutionGraph(ctx, c, _min_steps(ctx, order), _premise_table(ctx))
+
+
 def _chain_spans(graph: _SolutionGraph, xbits: int) -> bool:
     # The removability test that ``_SolutionGraph.min_reduce`` makes: the
     # bare set, chained over the graph's rules.
@@ -292,7 +298,7 @@ def test_chain_test_matches_full_closure(ib):
             continue
         rb = build_reduced_base(ib, c, ctx=ctx)
         ctx_c = reduced_context(rb)
-        graph = _SolutionGraph(ctx, c, "size-label")
+        graph = _graph(ctx, c, "size-label")
         subs = list(iter_bits(rb.universe.bits))
         for pick in range(1 << len(subs)):
             xbits = sum(1 << subs[i] for i in range(len(subs)) if pick >> i & 1)
@@ -320,7 +326,7 @@ def test_neighbors_match_the_graph_windows(ib, order):
             continue
         rb = build_reduced_base(ib, c, order=order, ctx=ctx)
         ctx_c = reduced_context(rb)
-        graph = _SolutionGraph(ctx, c, order)
+        graph = _graph(ctx, c, order)
         for abits in brute.d_generator_masks(c):
             got = {graph.min_reduce(w) for w in graph.windows(abits)}
             full = neighbors(rb, ctx_c, ElementSet(ground, abits))
@@ -590,6 +596,27 @@ class TestDBase:
         assert len(rows) > len(ex9_ib.ground)
         assert counts == {"ctx": 1, "standard": 1}
 
+    def test_one_element_order_and_one_premise_table_per_run(self, ex9_ib, monkeypatch):
+        # Min's steps and Sigma's premise closures do not depend on the
+        # target, so a run makes them once for all its graphs.
+        counts = {"order": 0, "table": 0}
+        order, table = dbase.traversal.element_order, dbase.traversal._premise_table
+
+        def counting_order(*args):
+            counts["order"] += 1
+            return order(*args)
+
+        def counting_table(ctx):
+            counts["table"] += 1
+            return table(ctx)
+
+        monkeypatch.setattr(dbase.traversal, "element_order", counting_order)
+        monkeypatch.setattr(dbase.traversal, "_premise_table", counting_table)
+        ctx = ClosureContext.from_ib(ex9_ib)
+        assert sum(has_d_generators(ctx, c) for c in range(len(ex9_ib.ground))) == 3
+        assert len(list(iter_d_base(ex9_ib))) > len(ex9_ib.ground)
+        assert counts == {"order": 1, "table": 1}
+
 
 # |U| = 1 is allowed here.
 @given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
@@ -604,13 +631,13 @@ def test_walk_memo_is_exact_and_windows_span(ib, order):
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
             continue
-        graph = _SolutionGraph(ctx, c, order)
+        graph = _graph(ctx, c, order)
         gens = list(graph.traverse())
         assert sorted(gens) == sorted(
             i.premise.bits for i in rows if i.conclusion == c and not i.is_binary
         )
         for bits, kernel in graph.memo.items():
-            fresh = _SolutionGraph(ctx, c, order)
+            fresh = _graph(ctx, c, order)
             assert fresh.min_reduce(bits) == kernel
         for abits in gens:
             for window in graph.windows(abits):
@@ -627,7 +654,7 @@ def test_failed_tests_are_exact(ib, order):
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
             continue
-        graph = _SolutionGraph(ctx, c, order)
+        graph = _graph(ctx, c, order)
         for _ in graph.traverse():
             pass
         for bits in graph.fails:
@@ -646,7 +673,7 @@ def test_graph_rules_put_exit_rules_first(ib):
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
             continue
-        graph = _SolutionGraph(ctx, c, "size-label")
+        graph = _graph(ctx, c, "size-label")
         inside = [r for r in ctx.rules if r[0] & ~graph.universe == 0]
         exits = [r for r in inside if r[1] >> c & 1]
         assert list(graph.rules) == exits + [r for r in inside if r not in exits]
@@ -662,14 +689,14 @@ class TestMinMemo:
         for order in ("size-label", "natural"):
             want = [i.format() for i in iter_d_base(ib, order=order)]
             uncapped = {
-                c: list(_SolutionGraph(ctx, c, order).traverse())
+                c: list(_graph(ctx, c, order).traverse())
                 for c in targets
             }
             with monkeypatch.context() as m:
                 m.setattr(dbase.traversal, "MEMO_CAP", 8)
                 got = [i.format() for i in iter_d_base(ib, order=order)]
                 for c in targets:
-                    graph = _SolutionGraph(ctx, c, order)
+                    graph = _graph(ctx, c, order)
                     capped = []
                     for bits in graph.traverse():
                         capped.append(bits)
@@ -862,7 +889,7 @@ def test_window_cut_is_the_binary_closure(ib):
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
             continue
-        graph = _SolutionGraph(ctx, c, "size-label")
+        graph = _graph(ctx, c, "size-label")
         transitions = graph.transitions
         for abits in brute.d_generator_masks(c):
             clb_a = ctx.close_binary_bits(abits)
@@ -886,7 +913,7 @@ def _reaches_every_d_generator_from_each(ib, order):
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
             continue
-        graph = _SolutionGraph(ctx, c, order)
+        graph = _graph(ctx, c, order)
         gens = set(brute.d_generator_masks(c))
         for seed in gens:
             reached, queue = {seed}, deque([seed])
