@@ -12,9 +12,11 @@ time, each transversal that misses the edge multiplied by the singleton
 closures cl^b(b) of the edge's elements.  cl^b is a union of singleton
 closures, so every product is closed and the family stays an antichain of
 closed sets; only the new products need absorbing.  One run of the Mi route
-builds the Mi context, checks standardness and takes the binary part once,
-then makes one dualization per element on that same context: its singleton
-closures are those of cs^b, so its cl^b is the closure of the binary part.
+builds the Mi context, checks standardness, takes the binary part and reads
+every element's up-arrows off one upper-cover table, once; then it makes one
+dualization per element on that same context: its singleton closures are
+those of cs^b, so its cl^b is the closure of the binary part.  B+ is checked
+closed on each member's complement, which for up-arrows is small.
 Both reduction directions are provided; the embedding gadget marks its
 fresh element with the reserved label ``_d``.
 """
@@ -24,7 +26,9 @@ from .closure import ClosureContext, binary_part, is_standard
 # Unused here, but perfbench's tracer wraps dbase.dualization.min_spanning_set.
 from .closure import min_spanning_set  # noqa: F401
 from .errors import MalformedGadget, NotStandard
-from .lattice import _minimal_masks, meet_irreducibles_distributive, up_arrow
+from .lattice import _minimal_masks, _up_arrows, meet_irreducibles_distributive
+# Unused here, but perfbench's tracer wraps dbase.dualization.up_arrow.
+from .lattice import up_arrow  # noqa: F401
 from .model import (
     RESERVED_DUAL_LABEL,
     ElementSet,
@@ -32,6 +36,7 @@ from .model import (
     Implication,
     ImplicationalBase,
     SetFamily,
+    _index_order_key,
     check_antichain_of_closed,
     iter_bits,
 )
@@ -63,6 +68,13 @@ def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
     return family
 
 
+def _is_binary_closed(ctx: ClosureContext, bits: int) -> bool:
+    # cl^b(m) is the union of the singleton closures of m's elements, so m is
+    # cl^b-closed iff no element y outside m lies in one, that is, iff no
+    # container of y is in m.  A member of B+ misses few elements.
+    return not any(ctx.containers(y) & bits for y in iter_bits(ctx.full_mask & ~bits))
+
+
 def dualize_distributive(
     binary_ib: ImplicationalBase,
     b_plus: SetFamily,
@@ -77,16 +89,18 @@ def dualize_distributive(
     pass it; ``binary_ib`` is then trusted to be binary and only the context
     is used.  Either way B+ is checked to be an antichain of cl^b-closed
     sets, which for a binary base are its closed sets, since an empty
-    premise is not binary.
+    premise is not binary.  The dual is an antichain, so it is sorted into
+    canonical order with nothing to drop.
     """
     if ctx is None:
         binary_ib.require_binary()
         ctx = ClosureContext.from_ib(binary_ib)
-    uppers = check_antichain_of_closed(b_plus, ctx.ground, ctx.close_binary_bits)
+    uppers = check_antichain_of_closed(
+        b_plus, ctx.ground, lambda m: _is_binary_closed(ctx, m)
+    )
     edges = [ctx.full_mask & ~m for m in uppers]
-    return SetFamily.from_bits(
-        binary_ib.ground, _minimal_transversals(ctx, edges)
-    ).canonicalize()
+    dual = sorted(_minimal_transversals(ctx, edges), key=_index_order_key)
+    return SetFamily.from_bits(binary_ib.ground, dual)
 
 
 def _mi_context(mi: SetFamily) -> tuple[ClosureContext, ImplicationalBase]:
@@ -101,10 +115,11 @@ def _mi_context(mi: SetFamily) -> tuple[ClosureContext, ImplicationalBase]:
 
 
 def _d_generator_masks(
-    ctx: ClosureContext, bp: ImplicationalBase, mi: SetFamily, c: int
+    ctx: ClosureContext, bp: ImplicationalBase, ups: list[int], c: int
 ) -> list[int]:
-    # genD(c) as masks, sorted by closure mask, read off the dual unchecked,
-    # as the Mi context ``ctx`` (whose cl^b is that of cs^b) is standard:
+    # genD(c) as masks, sorted by closure mask, from the dual of the
+    # up-arrows ``ups`` of c, read off unchecked, as the Mi context ``ctx``
+    # (whose cl^b is that of cs^b) is standard:
     # (1) cl^b(c) is the one dual member holding c.  It lies in no member of
     #     c-up, so some dual member X lies below it; X omitting c would lie in
     #     the closed set cl(c) - c, a meet of members one of which omits c, so
@@ -114,7 +129,7 @@ def _d_generator_masks(
     #     in cl(b) would put a in the closed set cl(a) - a, so "x in cl(y)" is
     #     a partial order, and a member, a union of singleton closures, is a
     #     down-set of it: the down-closure of its top (minimal) elements.
-    dual = dualize_distributive(bp, up_arrow(mi, c), ctx)
+    dual = dualize_distributive(bp, SetFamily.from_bits(ctx.ground, ups), ctx)
     return [ctx.minimal_elements(m) for m in sorted(dual.bit_list()) if not m >> c & 1]
 
 
@@ -127,7 +142,8 @@ def d_generators_from_mi(mi: SetFamily, c: int) -> list[ElementSet]:
     the checked standardness implies them.  Empty exactly when c is join-prime.
     """
     ctx, bp = _mi_context(mi)
-    return [ElementSet(mi.ground, k) for k in _d_generator_masks(ctx, bp, mi, c)]
+    kernels = _d_generator_masks(ctx, bp, _up_arrows(mi)[c], c)
+    return [ElementSet(mi.ground, k) for k in kernels]
 
 
 def d_base_from_mi(mi: SetFamily) -> ImplicationalBase:
@@ -138,14 +154,16 @@ def d_base_from_mi(mi: SetFamily) -> ImplicationalBase:
 def iter_d_base_from_mi(mi: SetFamily):
     """Streaming variant: binary part first, then per-element dualizations.
 
-    The Mi context, the standardness check and the binary part are computed
-    once per run.  Distinct closures have distinct minimal spanning sets, so
-    no (D-generator, target) pair comes out twice.
+    The Mi context, the standardness check, the binary part and every
+    element's up-arrows are computed once per run.  Distinct closures have
+    distinct minimal spanning sets, so no (D-generator, target) pair comes
+    out twice.
     """
     ctx, bp = _mi_context(mi)
+    arrows = _up_arrows(mi)
     yield from bp
-    for c in range(len(mi.ground)):
-        for kernel in _d_generator_masks(ctx, bp, mi, c):
+    for c, ups in enumerate(arrows):
+        for kernel in _d_generator_masks(ctx, bp, ups, c):
             yield Implication(ElementSet(mi.ground, kernel), c)
 
 
@@ -155,7 +173,9 @@ def embed_dualization(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFam
     binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
     mi = meet_irreducibles_distributive(binary_ib, ctx)
-    uppers = check_antichain_of_closed(b_plus, ctx.ground, ctx.close_bits)
+    uppers = check_antichain_of_closed(
+        b_plus, ctx.ground, lambda m: ctx.close_bits(m) == m
+    )
     ground2 = GroundSet(binary_ib.ground.names + (RESERVED_DUAL_LABEL,))
     dbit = 1 << len(binary_ib.ground)
     masks = list(uppers) + [m | dbit for m in mi.bit_list()]

@@ -14,6 +14,7 @@ from .model import (
     ImplicationalBase,
     Relation,
     SetFamily,
+    _index_order_key,
     iter_bits,
 )
 
@@ -92,13 +93,33 @@ def meet_irreducibles_distributive(
     return SetFamily.from_bits(binary_ib.ground, masks).canonicalize()
 
 
+def _up_arrows(mi: SetFamily) -> list[list[int]]:
+    """Every element's up-arrows: entry c lists the maximal members of the
+    family omitting c, in canonical order, read off one upper-cover table.
+
+    The table pairs each distinct member M, in canonical order, with the
+    elements outside M but inside M*, the meet of the members strictly above
+    M (the ground when there are none).  M is maximal among the members
+    omitting c exactly when every member above it holds c, so these are the
+    c with c up-arrow M (Ganter & Wille, Formal Concept Analysis, 1999).
+    """
+    masks = sorted(set(mi.bit_list()), key=_index_order_key)
+    full = mi.ground.full_mask
+    table = []
+    for m in masks:
+        star = full
+        for o in masks:
+            if m & ~o == 0 and o != m:
+                star &= o
+        table.append((m, star & ~m))
+    return [
+        [m for m, arrows in table if arrows >> c & 1] for c in range(len(mi.ground))
+    ]
+
+
 def up_arrow(mi: SetFamily, a: int) -> SetFamily:
     """Maximal members of the family omitting ``a`` (the M with a up-arrow M)."""
-    # The maximal members are the complements of the minimal complements.
-    full = mi.ground.full_mask
-    omitted = [full & ~m for m in mi.bit_list() if not m >> a & 1]
-    maximal = [full & ~m for m in _minimal_masks(omitted)]
-    return SetFamily.from_bits(mi.ground, maximal).canonicalize()
+    return SetFamily.from_bits(mi.ground, _up_arrows(mi)[a])
 
 
 def down_arrow(mi: SetFamily, a: int) -> SetFamily:
@@ -117,8 +138,8 @@ def delta_relation(mi: SetFamily) -> Relation:
     """c delta a: some meet-irreducible M has c up-arrow M and a outside M."""
     full = mi.ground.full_mask
     arcs = set()
-    for c in range(len(mi.ground)):
-        for m in up_arrow(mi, c).bit_list():
+    for c, ups in enumerate(_up_arrows(mi)):
+        for m in ups:
             for a in iter_bits(full & ~m & ~(1 << c)):
                 arcs.add((c, a))
     return Relation(mi.ground, arcs)
@@ -129,8 +150,7 @@ def d_relation(mi: SetFamily) -> Relation:
     n = len(mi.ground)
     downs = [set(down_arrow(mi, a).bit_list()) for a in range(n)]
     arcs = set()
-    for c in range(n):
-        ups = up_arrow(mi, c).bit_list()
+    for c, ups in enumerate(_up_arrows(mi)):
         arcs.update((c, a) for a in range(n) if a != c and not downs[a].isdisjoint(ups))
     return Relation(mi.ground, arcs)
 

@@ -310,15 +310,15 @@ class SetFamily:
 
 
 def check_antichain_of_closed(
-    b_plus: SetFamily, ground: GroundSet, close: Callable[[int], int]
+    b_plus: SetFamily, ground: GroundSet, is_closed: Callable[[int], bool]
 ) -> list[int]:
     """The masks of ``b_plus`` once it is checked to lie over ``ground`` and
-    to be an antichain of sets that ``close`` fixes."""
+    to be an antichain of sets that ``is_closed`` accepts."""
     if b_plus.ground != ground:
         raise GroundMismatch(f"antichain over {b_plus.ground!r}, base over {ground!r}")
     masks = b_plus.bit_list()
     for m in masks:
-        if close(m) != m:
+        if not is_closed(m):
             raise NotClosed(f"{ElementSet(ground, m)!r} is not closed")
     for i, m in enumerate(masks):
         for k in masks[i + 1 :]:

@@ -175,7 +175,7 @@ def brute_dual(
     binary_ib.require_binary()
     brute = BruteForce(binary_ib, max_ground=max_ground)
     uppers = check_antichain_of_closed(
-        b_plus, binary_ib.ground, lambda m: int(brute.cl[m])
+        b_plus, binary_ib.ground, lambda m: int(brute.cl[m]) == m
     )
     escaping = [
         m for m in brute.closed_masks() if all(m & ~b for b in uppers)

@@ -33,6 +33,7 @@ from dbase import (
     up_arrow,
 )
 from dbase.cli import main
+from dbase.dualization import _is_binary_closed
 from dbase.errors import (
     GroundMismatch,
     MalformedGadget,
@@ -271,6 +272,33 @@ class TestDBaseFromMi:
             assert labelsets(d_generators_from_mi(ex1_mi, six)) == {"34", "35", "45"}
         assert builds == ["SetFamily"]
 
+    def test_one_arrow_table_and_one_dualization_per_element(self, ex1_mi, monkeypatch):
+        # Every element's up-arrows come off one table per run, and each
+        # element still makes one dualize_distributive call, looked up in the
+        # module (the bench's traced counts rest on that call).
+        counts = {"table": 0, "dualize": 0, "up_arrow": 0}
+        table, dualize = dbase.dualization._up_arrows, dbase.dualization.dualize_distributive
+        arrow = dbase.dualization.up_arrow
+
+        def counting_table(mi):
+            counts["table"] += 1
+            return table(mi)
+
+        def counting_dualize(*args):
+            counts["dualize"] += 1
+            return dualize(*args)
+
+        def counting_arrow(*args):
+            counts["up_arrow"] += 1
+            return arrow(*args)
+
+        monkeypatch.setattr(dbase.dualization, "_up_arrows", counting_table)
+        monkeypatch.setattr(dbase.dualization, "dualize_distributive", counting_dualize)
+        monkeypatch.setattr(dbase.dualization, "up_arrow", counting_arrow)
+        rows = list(iter_d_base_from_mi(ex1_mi))
+        assert serialize_ib(ImplicationalBase(ex1_mi.ground, rows).canonicalize()) == EX4_DBASE
+        assert counts == {"table": 1, "dualize": len(ex1_mi.ground), "up_arrow": 0}
+
     def test_streaming_binary_first(self, ex8_mi):
         stream = list(iter_d_base_from_mi(ex8_mi))
         assert [i.format() for i in stream[:2]] == ["3 -> 2", "4 -> 2"]
@@ -411,6 +439,30 @@ def test_dualize_on_the_mi_context_matches_a_fresh_context_property(mi):
         got = dualize_distributive(bp, b_plus, ctx)
         assert got == dualize_distributive(bp, b_plus)
         assert got == brute_dual(bp, b_plus)
+
+
+def _check_the_complement_closedness_test(ctx: ClosureContext) -> None:
+    # Every mask of the ground, 0 and the full mask included.
+    for m in range(ctx.full_mask + 1):
+        assert _is_binary_closed(ctx, m) == (ctx.close_binary_bits(m) == m)
+
+
+class TestComplementClosedness:
+    def test_random_standard_ib_contexts(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            _check_the_complement_closedness_test(ClosureContext.from_ib(random_standard_ib(rng)))
+
+    def test_random_standard_mi_contexts(self):
+        rng = random.Random(24)
+        for _ in range(60):
+            _check_the_complement_closedness_test(ClosureContext.from_mi(random_standard_mi(rng)))
+
+    def test_cyclic_binary_base(self):
+        ib = parse_ib("ground: 1 2 3 4 5\n1 -> 2\n2 -> 3\n3 -> 1\n4 -> 3\n")
+        ctx = ClosureContext.from_ib(ib)
+        assert ctx.singleton_closure(0) == 0b111
+        _check_the_complement_closedness_test(ctx)
 
 
 def _check_the_dual_reads_off_unchecked(mi: SetFamily) -> None:

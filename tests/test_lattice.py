@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dbase.lattice
 from dbase import (
     BruteForce,
     ClosureContext,
+    GroundSet,
+    SetFamily,
     classify,
     d_relation,
     delta_relation,
@@ -23,7 +26,14 @@ from dbase import (
 )
 from dbase.errors import GroundTooLarge, NonBinaryImplication
 from dbase.gadgets import gen_acyclic_instance
-from dbase.lattice import closed_set_masks, implication_graph_acyclic, longest_path
+from dbase.lattice import (
+    _minimal_masks,
+    _up_arrows,
+    closed_set_masks,
+    implication_graph_acyclic,
+    longest_path,
+)
+from dbase.model import _index_order_key
 
 from conftest import (
     EX6_CNF,
@@ -143,6 +153,17 @@ class TestArrows:
         got = up_arrow(ex1_mi, ex1_mi.ground.position("6"))
         assert labelsets(got) == {"13", "15", "124"}
 
+    @pytest.mark.parametrize(
+        "n, masks", [(2, []), (2, [0]), (2, [0b11]), (2, [0, 0]), (0, [0])]
+    )
+    def test_up_arrows_of_degenerate_families(self, n, masks):
+        # No member, only the empty set (once or twice), only the ground,
+        # an empty ground.
+        fam = SetFamily.from_bits(GroundSet([str(i + 1) for i in range(n)]), masks)
+        got = _up_arrows(fam)
+        assert got == [_up_arrow_by_minimal_complements(fam, c) for c in range(len(fam.ground))]
+        assert got == [[0] if set(masks) == {0} else []] * n
+
     def test_down_arrow_atomistic_is_all_omitting(self):
         fam = parse_set_family("ground: 1 2 3\n1 2\n1 3\n2 3\n")
         ctx = ClosureContext.from_mi(fam)
@@ -158,6 +179,37 @@ class TestArrows:
         fam = parse_set_family("ground: 1 2 3\n1 2\n2 3\n1\n")
         a = fam.ground.position("3")  # cl(3) = {2 3}, so M must contain 2
         assert labelsets(down_arrow(fam, a)) == {"12"}
+
+
+def _up_arrow_by_minimal_complements(fam: SetFamily, c: int) -> list[int]:
+    # The maximal members omitting c, as the complements of the minimal
+    # complements, in canonical order.
+    full = fam.ground.full_mask
+    omitted = [full & ~m for m in fam.bit_list() if not m >> c & 1]
+    return sorted((full & ~m for m in _minimal_masks(omitted)), key=_index_order_key)
+
+
+@st.composite
+def set_families(draw):
+    """Any family over 0..8 elements, repeats, the empty set and the ground
+    included, in any order."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    ground = GroundSet([str(i + 1) for i in range(n)])
+    full = ground.full_mask
+    member = st.one_of(st.just(0), st.just(full), st.integers(min_value=0, max_value=full))
+    return SetFamily.from_bits(ground, draw(st.lists(member, max_size=14)))
+
+
+@given(set_families())
+@settings(max_examples=300, deadline=None)
+def test_up_arrow_table_matches_minimal_complements(fam):
+    # The one upper-cover table gives each element's maximal members
+    # omitting it, in the canonical order of SetFamily.canonicalize.
+    got = _up_arrows(fam)
+    assert len(got) == len(fam.ground)
+    for c, ups in enumerate(got):
+        assert ups == _up_arrow_by_minimal_complements(fam, c)
+        assert up_arrow(fam, c) == SetFamily.from_bits(fam.ground, ups).canonicalize()
 
 
 class TestRelations:
@@ -178,6 +230,19 @@ class TestRelations:
     def test_distributive_system_has_empty_d(self, ex5_ib):
         mi = meet_irreducibles_distributive(ex5_ib)
         assert len(d_relation(mi)) == 0
+
+    @pytest.mark.parametrize("relation", [delta_relation, d_relation])
+    def test_one_arrow_table_per_call(self, ex1_mi, monkeypatch, relation):
+        calls = []
+        table = dbase.lattice._up_arrows
+
+        def counting_table(mi):
+            calls.append(mi)
+            return table(mi)
+
+        monkeypatch.setattr(dbase.lattice, "_up_arrows", counting_table)
+        assert len(relation(ex1_mi)) > 0
+        assert calls == [ex1_mi]
 
     def test_random_agreement_with_brute(self):
         rng = random.Random(10)
