@@ -2,15 +2,19 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dbase
 from dbase import serialize_ib
 from dbase.cli import build_parser, main
 from dbase.gadgets import (
@@ -476,6 +480,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1 and "33 elements exceeds oracle maximum 24" in captured.err
 
+    def test_broken_pipe_is_0(self, monkeypatch, ex2_file):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["dbase", ex2_file]) == 0
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["close"])  # missing file and --set
@@ -738,3 +750,67 @@ class TestStreaming:
                 assert lines_before_exit >= 3, "no output while still enumerating"
             finally:
                 proc.kill()
+
+
+def chain_text(n: int) -> str:
+    """The chain 1 -> 2 -> ... -> n, whose D-base holds every i -> j, i < j."""
+    labels = [str(i) for i in range(1, n + 1)]
+    rules = "".join(f"{a} -> {b}\n" for a, b in zip(labels, labels[1:]))
+    return "ground: " + " ".join(labels) + "\n" + rules
+
+
+class TestConsoleEntryPoint:
+    """``run()``, the entry point of ``dbase`` and ``python -m dbase.cli``,
+    in a fresh interpreter."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(Path(dbase.__file__).resolve().parents[1])}
+
+    def console(self, *argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "dbase.cli", *argv],
+                              env=self.ENV, capture_output=True, text=True)
+
+    def test_run_freezes_the_import_time_heap(self, ex2_file):
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "import dbase.cli\n"
+            f"sys.argv = ['dbase', 'dbase', {ex2_file!r}]\n"
+            "dbase.cli.run()\n"
+        )
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=self.ENV,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert sorted(done.stdout.splitlines()) == sorted(EX4_DBASE.splitlines()[1:])
+        assert int(done.stderr) > 0
+
+    def test_main_leaves_the_collector_alone(self, capsys, ex2_file):
+        before = gc.get_freeze_count()
+        code, out = run_main(capsys, "dbase", ex2_file)
+        assert code == 0 and out
+        assert gc.get_freeze_count() == before
+
+    def test_reader_closing_the_pipe_is_0(self, tmp_path):
+        # 197 KB of rows: more than the pipe holds after the first read, so
+        # the stream is still writing when the reader closes its end.
+        path = tmp_path / "chain.ib"
+        path.write_text(chain_text(200))
+        argv = ["dbase", str(path), "--max-ground", "200"]
+        with subprocess.Popen([sys.executable, "-m", "dbase.cli", *argv], env=self.ENV,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as proc:
+            assert proc.stdout.readline() == "1 -> 2\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == ""
+
+    def test_missing_file_is_1(self, tmp_path):
+        path = tmp_path / "missing.ib"
+        done = self.console("dbase", str(path))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (f"dbase: error: cannot read {str(path)!r}: "
+                               "No such file or directory\n")
+
+    def test_unknown_subcommand_is_2(self):
+        done = self.console("nope")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "dbase: error: argument command: invalid choice: 'nope'" in done.stderr
