@@ -466,6 +466,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"dbase: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
+        # The reader is gone, but the row that failed is still buffered: point
+        # stdout at the null device so the interpreter's flush at exit succeeds.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 0  # no descriptor to redirect (an in-memory stream)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return 0
 
 

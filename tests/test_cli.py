@@ -480,13 +480,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1 and "33 elements exceeds oracle maximum 24" in captured.err
 
-    def test_broken_pipe_is_0(self, monkeypatch, ex2_file):
+    @pytest.mark.parametrize("descriptor", [False, True], ids=["in-memory", "pipe"])
+    def test_broken_pipe_is_0(self, monkeypatch, ex2_file, descriptor):
+        # Given a descriptor, main points it at the null device, so what is
+        # still buffered flushes at exit without a second broken pipe.
+        read_end, write_end = os.pipe()
+
         class ClosedPipe:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        assert main(["dbase", ex2_file]) == 0
+        if descriptor:
+            ClosedPipe.fileno = lambda self: write_end
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["dbase", ex2_file]) == 0
+            nulled = os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+            assert nulled == descriptor
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -763,11 +776,9 @@ class TestConsoleEntryPoint:
     """``run()``, the entry point of ``dbase`` and ``python -m dbase.cli``,
     in a fresh interpreter."""
 
-    ENV = {**os.environ, "PYTHONPATH": str(Path(dbase.__file__).resolve().parents[1])}
-
-    def console(self, *argv: str) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-m", "dbase.cli", *argv],
-                              env=self.ENV, capture_output=True, text=True)
+    # Without PYTHONUNBUFFERED, stdout is block-buffered, as for most users.
+    ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    ENV["PYTHONPATH"] = str(Path(dbase.__file__).resolve().parents[1])
 
     def test_run_freezes_the_import_time_heap(self, ex2_file):
         code = (
@@ -803,14 +814,13 @@ class TestConsoleEntryPoint:
             assert proc.wait(timeout=60) == 0
             assert proc.stderr.read() == ""
 
-    def test_missing_file_is_1(self, tmp_path):
-        path = tmp_path / "missing.ib"
-        done = self.console("dbase", str(path))
-        assert (done.returncode, done.stdout) == (1, "")
-        assert done.stderr == (f"dbase: error: cannot read {str(path)!r}: "
-                               "No such file or directory\n")
-
-    def test_unknown_subcommand_is_2(self):
-        done = self.console("nope")
-        assert (done.returncode, done.stdout) == (2, "")
-        assert "dbase: error: argument command: invalid choice: 'nope'" in done.stderr
+    @pytest.mark.parametrize("argv, code, err", [
+        (["dbase", "missing.ib"], 1,
+         "dbase: error: cannot read 'missing.ib': No such file or directory\n"),
+        (["nope"], 2, "dbase: error: argument command: invalid choice: 'nope'"),
+    ], ids=["missing-file", "unknown-subcommand"])
+    def test_exit_codes(self, tmp_path, argv, code, err):
+        done = subprocess.run([sys.executable, "-m", "dbase.cli", *argv], cwd=tmp_path,
+                              env=self.ENV, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (code, "")
+        assert err in done.stderr
