@@ -11,12 +11,19 @@ minimal closed sets meeting every complement of B+ are grown one edge at a
 time, each transversal that misses the edge multiplied by the singleton
 closures cl^b(b) of the edge's elements.  cl^b is a union of singleton
 closures, so every product is closed and the family stays an antichain of
-closed sets; only the new products need absorbing.  One run of the Mi route
-builds the Mi context, checks standardness, takes the binary part and reads
-every element's up-arrows off one upper-cover table, once; then it makes one
-dualization per element on that same context: its singleton closures are
-those of cs^b, so its cl^b is the closure of the binary part.  B+ is checked
-closed on each member's complement, which for up-arrows is small.
+closed sets; only the new products need absorbing.  A product's part in the
+edge is its multiplier's, and a set inside the product has its part in the
+edge inside that one, so each product is tested only against the members
+whose part in the edge lies inside its own.  Equal parts would not do: a
+product may lie inside another whose multiplier's part is larger.
+
+One run of the Mi route builds the Mi context, checks standardness, takes
+the binary part and reads every element's up-arrows off one upper-cover
+table, once; then it makes one dualization per element on that same
+context: its singleton closures are those of cs^b, so its cl^b is the
+closure of the binary part.  B+ is checked closed on each member's
+complement, which for up-arrows is small.  An element's rows come out of
+its one dualization together, and the CLI writes them in one batch.
 Both reduction directions are provided; the embedding gadget marks its
 fresh element with the reserved label ``_d``.
 """
@@ -52,18 +59,42 @@ def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
     meeting E are kept unchecked: a kept K containing a product would
     strictly contain T, and the family is an antichain.  Products are
     absorbed against the kept members and each other, smallest first.
+
+    As T misses E, a product's part in E is that of its multiplier,
+    cl^b(b) & E, and a set inside the product has its part in E inside that
+    part.  So a product is tested only against the kept members and accepted
+    products whose part in E lies inside its own: one candidate list per
+    distinct part, at most |E| lists per edge.  The test is inclusion of the
+    parts, not their equality: a product q inside p may have a multiplier
+    whose part is smaller than p's.  When at most one member misses E there
+    are at most |E| products, no more than the lists would number, so they
+    are scanned against every candidate instead.
     """
     family = [0]
     for edge in edges:
         kept = [t for t in family if t & edge]
+        missing = [t for t in family if not t & edge]
         singles = [ctx.singleton_closure(b) for b in iter_bits(edge)]
-        products = {t | s for t in family if not t & edge for s in singles}
+        products = sorted({t | s for t in missing for s in singles}, key=int.bit_count)
         fresh: list[int] = []
-        for p in sorted(products, key=int.bit_count):
-            if not any(k & ~p == 0 for k in kept) and not any(
-                q & ~p == 0 for q in fresh
-            ):
-                fresh.append(p)
+        if len(missing) <= 1:
+            for p in products:
+                if not any(k & ~p == 0 for k in kept) and not any(
+                    q & ~p == 0 for q in fresh
+                ):
+                    fresh.append(p)
+        else:
+            parts = {s & edge for s in singles}
+            # part -> the kept members, then the accepted products, inside it
+            inside = {v: [k for k in kept if k & edge & ~v == 0] for v in parts}
+            # part -> the candidate lists of the parts holding it
+            holders = {w: [inside[v] for v in parts if w & ~v == 0] for w in parts}
+            for p in products:
+                part = p & edge
+                if not any(c & ~p == 0 for c in inside[part]):
+                    fresh.append(p)
+                    for candidates in holders[part]:
+                        candidates.append(p)
         family = kept + fresh
     return family
 
@@ -152,19 +183,26 @@ def d_base_from_mi(mi: SetFamily) -> ImplicationalBase:
 
 
 def iter_d_base_from_mi(mi: SetFamily):
-    """Streaming variant: binary part first, then per-element dualizations.
+    """Streaming variant: binary part first, then per-element dualizations."""
+    for batch in _d_base_batches_from_mi(mi):
+        yield from batch
 
-    The Mi context, the standardness check, the binary part and every
-    element's up-arrows are computed once per run.  Distinct closures have
-    distinct minimal spanning sets, so no (D-generator, target) pair comes
-    out twice.
-    """
+
+def _d_base_batches_from_mi(mi: SetFamily):
+    # The rows of iter_d_base_from_mi, each nonempty batch as soon as it is
+    # found: the binary part, then each element's rows, which come out of
+    # one dualization together.  The Mi context, the standardness check, the
+    # binary part and every element's up-arrows are computed once per run.
+    # Distinct closures have distinct minimal spanning sets, so no
+    # (D-generator, target) pair comes out twice.
     ctx, bp = _mi_context(mi)
     arrows = _up_arrows(mi)
-    yield from bp
+    if bp.implications:
+        yield bp.implications
     for c, ups in enumerate(arrows):
-        for kernel in _d_generator_masks(ctx, bp, ups, c):
-            yield Implication(ElementSet(mi.ground, kernel), c)
+        kernels = _d_generator_masks(ctx, bp, ups, c)
+        if kernels:
+            yield [Implication(ElementSet(mi.ground, k), c) for k in kernels]
 
 
 def embed_dualization(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:

@@ -15,7 +15,14 @@ from pathlib import Path
 import pytest
 
 import dbase
-from dbase import serialize_ib
+from dbase import (
+    iter_d_base,
+    iter_d_base_from_mi,
+    parse_ib,
+    parse_set_family,
+    serialize_ib,
+    serialize_set_family,
+)
 from dbase.cli import build_parser, main
 from dbase.gadgets import (
     ReductionReport,
@@ -24,7 +31,17 @@ from dbase.gadgets import (
     random_cnf,
 )
 
-from conftest import EX1_MI, EX2_IB, EX4_DBASE, EX5_IB, EX6_CNF, EX8_MI, EX9_IB
+from conftest import (
+    EX1_MI,
+    EX2_IB,
+    EX4_DBASE,
+    EX5_IB,
+    EX6_CNF,
+    EX8_MI,
+    EX9_IB,
+    gap_mi_text,
+    random_mi,
+)
 
 
 @pytest.fixture
@@ -501,6 +518,19 @@ class TestExitCodes:
             os.close(read_end)
             os.close(write_end)
 
+    def test_broken_pipe_on_the_mi_route_is_0(self, monkeypatch, ex8_mi_file):
+        # The first batch, the binary part, meets a closed pipe in its one write.
+        writes = []
+
+        class ClosedPipe:
+            def write(self, text):
+                writes.append(text)
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["dbase", ex8_mi_file, "--from", "mi"]) == 0
+        assert writes == ["3 -> 2\n4 -> 2\n"]
+
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["close"])  # missing file and --set
@@ -726,43 +756,104 @@ class TestStdin:
         assert code == 0 and out.strip() == "2 4 5 6"
 
 
-def block_system_text(blocks: int, size: int = 4) -> str:
-    labels = []
-    lines = []
-    for b in range(blocks):
-        xs = [f"b{b}x{i}" for i in range(size)]
-        labels += xs + [f"b{b}y"]
-        for i in range(size):
-            for j in range(i + 1, size):
-                lines.append(f"{xs[i]} {xs[j]} -> b{b}y")
-    return "ground: " + " ".join(labels) + "\n" + "\n".join(lines) + "\n"
+def arrival_times(path: Path, *flags: str) -> tuple[list[float], float]:
+    """Run ``dbase dbase path flags`` and time, from its start, the arrival
+    of each row and the end of its output."""
+    argv = [sys.executable, "-m", "dbase.cli", "dbase", str(path), *flags]
+    start = time.monotonic()
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as proc:
+        arrivals = [time.monotonic() - start for _ in iter(proc.stdout.readline, "")]
+        end = time.monotonic() - start
+        assert proc.wait(timeout=60) == 0
+    return arrivals, end
 
 
 class TestStreaming:
+    # Each input does more work after its first row than before it, start-up
+    # included, so a first row that arrives in the first half of the run was
+    # written while the rest was still being computed.  Output written at the
+    # end arrives within a few milliseconds of its end.
+
     def test_output_is_incremental(self, tmp_path):
-        # A 10-block instance takes around a second in total; the first
-        # implications must arrive on the pipe while the process still runs.
-        path = tmp_path / "blocks.ib"
-        path.write_text(block_system_text(10))
-        with subprocess.Popen(
-            [sys.executable, "-m", "dbase.cli", "dbase", str(path), "--from", "ib"],
-            stdout=subprocess.PIPE,
-            text=True,
-        ) as proc:
-            try:
-                lines_before_exit = 0
-                deadline = time.monotonic() + 60
-                while time.monotonic() < deadline:
-                    line = proc.stdout.readline()
-                    if not line:
-                        break
-                    if proc.poll() is None:
-                        lines_before_exit += 1
-                        if lines_before_exit >= 3:
-                            break
-                assert lines_before_exit >= 3, "no output while still enumerating"
-            finally:
-                proc.kill()
+        # The binary part, then about 0.6 s of traversals for 401 rows.
+        ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 15, 12))
+        path = tmp_path / "lb.ib"
+        path.write_text(serialize_ib(ib))
+        arrivals, end = arrival_times(path)
+        assert len(arrivals) == 401
+        assert arrivals[0] < end / 2, "no output while still enumerating"
+
+    def test_mi_route_output_is_incremental(self, tmp_path):
+        # The binary part, then about 0.9 s of dualizations for 16,433 rows.
+        path = tmp_path / "random.mi"
+        path.write_text(serialize_set_family(random_mi(random.Random(0), 34, 60, 0.88)))
+        arrivals, end = arrival_times(path, "--from", "mi")
+        assert len(arrivals) == 16433
+        assert arrivals[0] < end / 2, "binary part not written before the dualizations"
+
+
+class RecordingStdout:
+    """A stdout that counts its writes and records what each flush sends."""
+
+    def __init__(self):
+        self.writes = 0
+        self.pending = ""
+        self.flushed: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        self.pending += text
+        return len(text)
+
+    def flush(self) -> None:
+        self.flushed.append(self.pending)
+        self.pending = ""
+
+
+def lines_of(rows) -> str:
+    return "".join(f"{imp.format()}\n" for imp in rows)
+
+
+class TestWritePattern:
+    @pytest.mark.parametrize("text", [EX1_MI, EX8_MI, gap_mi_text(5)],
+                             ids=["ex1", "ex8", "gap5"])
+    def test_mi_route_flushes_once_per_element(self, monkeypatch, tmp_path, text):
+        # The binary part goes out before the first dualization, then each
+        # element's rows in one write and one flush before the next one's.
+        mi = parse_set_family(text)
+        rows = list(iter_d_base_from_mi(mi))
+        binary = [imp for imp in rows if imp.is_binary]
+        batches = [lines_of(binary)]
+        flushes = []  # flushes due before each element's dualization
+        for c in range(len(mi.ground)):
+            flushes.append(len(batches))
+            found = [imp for imp in rows[len(binary):] if imp.conclusion == c]
+            if found:
+                batches.append(lines_of(found))
+        path = tmp_path / "in.mi"
+        path.write_text(text)
+        out = RecordingStdout()
+        flushed_before = []  # flushes made before each element's dualization
+        dualize = dbase.dualization.dualize_distributive
+
+        def recording_dualize(*args):
+            flushed_before.append(len(out.flushed))
+            return dualize(*args)
+
+        monkeypatch.setattr(dbase.dualization, "dualize_distributive", recording_dualize)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["dbase", str(path), "--from", "mi"]) == 0
+        assert out.flushed == batches and out.pending == ""
+        assert out.writes == len(batches)
+        assert "".join(out.flushed) == lines_of(rows)
+        assert flushed_before == flushes
+
+    def test_ib_route_flushes_once_per_row(self, monkeypatch, ex2_file):
+        out = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["dbase", ex2_file]) == 0
+        assert out.flushed == [lines_of([imp]) for imp in iter_d_base(parse_ib(EX2_IB))]
+        assert out.pending == ""
 
 
 def chain_text(n: int) -> str:

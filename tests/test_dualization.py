@@ -33,7 +33,7 @@ from dbase import (
     up_arrow,
 )
 from dbase.cli import main
-from dbase.dualization import _is_binary_closed
+from dbase.dualization import _is_binary_closed, _minimal_transversals
 from dbase.errors import (
     GroundMismatch,
     MalformedGadget,
@@ -114,6 +114,16 @@ class TestDualizeDistributive:
     def test_rejects_comparable_members(self, ex5_ib):
         with pytest.raises(NotAntichain):
             dualize_distributive(ex5_ib, family("12345", "1", "12"))
+
+    def test_absorption_tests_inclusion_of_the_parts_in_the_edge(self):
+        # With 2 -> 1, edge 34 leaves 3 and 4; edge 12 multiplies each by
+        # cl^b(1) = 1 and cl^b(2) = 12.  Product 13 lies inside 123 although
+        # their parts in the edge, 1 and 12, differ, so 123 must go.
+        ib = parse_ib("ground: 1 2 3 4\n2 -> 1\n")
+        ctx = ClosureContext.from_ib(ib)
+        bits = [ib.ground.set_of(s).bits for s in ("34", "12", "13", "14")]
+        assert sorted(_minimal_transversals(ctx, bits[:2])) == sorted(bits[2:])
+        assert labelsets(dualize_distributive(ib, family("1234", "12", "34"))) == {"13", "14"}
 
 
 @st.composite
