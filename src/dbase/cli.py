@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 domain error (bad input, violated precondition),
 2 usage error.  ``-`` stands for stdin/stdout.  The ``dbase`` subcommand
 streams implications as they are produced, one per line, flushed eagerly:
 per row on the IB route, per element on the Mi route, whose rows for one
-element are found together.
+element are found together; each flush follows one write.
 """
 from __future__ import annotations
 
@@ -117,22 +117,21 @@ def _cmd_mi(args) -> int:
 
 
 def _cmd_dbase(args) -> int:
+    # Each batch goes out in one write and one flush: on the Mi route the
+    # binary part, then one element's rows, which one dualization finds
+    # together; on the IB route each row, found one traversal step apart.
     if args.source == "mi":
-        # An element's rows are found together, by one dualization, so each
-        # batch (the binary part, then one element's rows) goes out in one
-        # write and one flush.
-        for batch in _d_base_batches_from_mi(_load_family(args, args.file)):
-            sys.stdout.write("".join(f"{imp.format()}\n" for imp in batch))
-            sys.stdout.flush()
-        return 0
-    # The IB route's rows are found one traversal step apart: one flush each.
-    stream = iter_d_base(
-        _load_ib(args, args.file),
-        order=args.order or ORDER_POLICIES[0],
-        max_states=args.max_states,
-    )
-    for imp in stream:
-        print(imp.format(), flush=True)
+        batches = _d_base_batches_from_mi(_load_family(args, args.file))
+    else:
+        stream = iter_d_base(
+            _load_ib(args, args.file),
+            order=args.order or ORDER_POLICIES[0],
+            max_states=args.max_states,
+        )
+        batches = ((imp,) for imp in stream)
+    for batch in batches:
+        sys.stdout.write("".join(f"{imp.format()}\n" for imp in batch))
+        sys.stdout.flush()
     return 0
 
 

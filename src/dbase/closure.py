@@ -73,7 +73,7 @@ class ClosureContext:
             )
         elif isinstance(source, SetFamily):
             self.mode = _MI
-            self._mi_masks = tuple(source.bit_list())
+            self._mi_masks = source.masks
             self._singles = [self.close_bits(1 << a) for a in range(n)]
         else:
             raise TypeError("source must be an ImplicationalBase or a SetFamily")

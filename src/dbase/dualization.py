@@ -106,6 +106,12 @@ def _is_binary_closed(ctx: ClosureContext, bits: int) -> bool:
     return not any(ctx.containers(y) & bits for y in iter_bits(ctx.full_mask & ~bits))
 
 
+def _checked_b_plus(b_plus: SetFamily, ctx: ClosureContext) -> tuple[int, ...]:
+    # The masks of B+, checked to be an antichain of cl^b-closed sets over
+    # ctx's ground: the one check of dualize_distributive and embed_dualization.
+    return check_antichain_of_closed(b_plus, ctx.ground, lambda m: _is_binary_closed(ctx, m))
+
+
 def dualize_distributive(
     binary_ib: ImplicationalBase,
     b_plus: SetFamily,
@@ -126,9 +132,7 @@ def dualize_distributive(
     if ctx is None:
         binary_ib.require_binary()
         ctx = ClosureContext.from_ib(binary_ib)
-    uppers = check_antichain_of_closed(
-        b_plus, ctx.ground, lambda m: _is_binary_closed(ctx, m)
-    )
+    uppers = _checked_b_plus(b_plus, ctx)
     edges = [ctx.full_mask & ~m for m in uppers]
     dual = sorted(_minimal_transversals(ctx, edges), key=_index_order_key)
     return SetFamily.from_bits(binary_ib.ground, dual)
@@ -161,7 +165,7 @@ def _d_generator_masks(
     #     a partial order, and a member, a union of singleton closures, is a
     #     down-set of it: the down-closure of its top (minimal) elements.
     dual = dualize_distributive(bp, SetFamily.from_bits(ctx.ground, ups), ctx)
-    return [ctx.minimal_elements(m) for m in sorted(dual.bit_list()) if not m >> c & 1]
+    return [ctx.minimal_elements(m) for m in sorted(dual.masks) if not m >> c & 1]
 
 
 def d_generators_from_mi(mi: SetFamily, c: int) -> list[ElementSet]:
@@ -207,16 +211,15 @@ def _d_base_batches_from_mi(mi: SetFamily):
 
 def embed_dualization(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:
     """Meet-irreducibles of the gadget system over U plus the fresh element:
-    Mi(cs') = B+ union {M union {_d} | M in Mi(cs)}."""
+    Mi(cs') = B+ union {M union {_d} | M in Mi(cs)}.  B+ is checked as
+    :func:`dualize_distributive` checks it."""
     binary_ib.require_binary()
     ctx = ClosureContext.from_ib(binary_ib)
     mi = meet_irreducibles_distributive(binary_ib, ctx)
-    uppers = check_antichain_of_closed(
-        b_plus, ctx.ground, lambda m: ctx.close_bits(m) == m
-    )
+    uppers = _checked_b_plus(b_plus, ctx)
     ground2 = GroundSet(binary_ib.ground.names + (RESERVED_DUAL_LABEL,))
     dbit = 1 << len(binary_ib.ground)
-    masks = list(uppers) + [m | dbit for m in mi.bit_list()]
+    masks = list(uppers) + [m | dbit for m in mi.masks]
     return SetFamily.from_bits(ground2, masks).canonicalize()
 
 

@@ -103,7 +103,7 @@ def _up_arrows(mi: SetFamily) -> list[list[int]]:
     omitting c exactly when every member above it holds c, so these are the
     c with c up-arrow M (Ganter & Wille, Formal Concept Analysis, 1999).
     """
-    masks = sorted(set(mi.bit_list()), key=_index_order_key)
+    masks = sorted(set(mi.masks), key=_index_order_key)
     full = mi.ground.full_mask
     table = []
     for m in masks:
@@ -125,7 +125,7 @@ def up_arrow(mi: SetFamily, a: int) -> SetFamily:
 def down_arrow(mi: SetFamily, a: int) -> SetFamily:
     """Members omitting ``a`` but containing cl(a) minus a (M down-arrow a);
     cl(a) is the meet of the members holding a."""
-    masks = mi.bit_list()
+    masks = mi.masks
     body = mi.ground.full_mask & ~(1 << a)
     for m in masks:
         if m >> a & 1:
@@ -148,7 +148,7 @@ def delta_relation(mi: SetFamily) -> Relation:
 def d_relation(mi: SetFamily) -> Relation:
     """c D a: some meet-irreducible M has c up-arrow M down-arrow a."""
     n = len(mi.ground)
-    downs = [set(down_arrow(mi, a).bit_list()) for a in range(n)]
+    downs = [set(down_arrow(mi, a).masks) for a in range(n)]
     arcs = set()
     for c, ups in enumerate(_up_arrows(mi)):
         arcs.update((c, a) for a in range(n) if a != c and not downs[a].isdisjoint(ups))

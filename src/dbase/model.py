@@ -266,57 +266,56 @@ class ImplicationalBase:
 
 
 class SetFamily:
-    """Ordered listing of subsets of one ground set."""
+    """Ordered listing of subsets of one ground set, held as masks."""
 
-    __slots__ = ("ground", "sets")
+    __slots__ = ("ground", "masks")
 
-    def __init__(self, ground: GroundSet, sets: Iterable[ElementSet]):
-        sets = tuple(sets)
-        for es in sets:
-            if es.ground != ground:
-                raise ValueError("member over a different ground set")
+    def __init__(self, ground: GroundSet, masks: Iterable[int]):
+        masks = tuple(masks)
+        if any(m & ~ground.full_mask for m in masks):
+            raise ValueError("bits outside the ground set")
         self.ground = ground
-        self.sets = sets
+        self.masks = masks
 
     @classmethod
     def from_bits(cls, ground: GroundSet, masks: Iterable[int]) -> "SetFamily":
-        return cls(ground, [ElementSet(ground, m) for m in masks])
+        return cls(ground, masks)
 
     def bit_list(self) -> list[int]:
-        return [es.bits for es in self.sets]
+        return list(self.masks)
 
     def __iter__(self) -> Iterator[ElementSet]:
-        return iter(self.sets)
+        return (ElementSet(self.ground, m) for m in self.masks)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SetFamily)
             and self.ground == other.ground
-            and self.sets == other.sets
+            and self.masks == other.masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.sets))
+        return hash((self.ground, self.masks))
 
     def __repr__(self) -> str:
-        return f"SetFamily({', '.join(repr(s) for s in self.sets)})"
+        return f"SetFamily({', '.join(repr(s) for s in self)})"
 
     def canonicalize(self) -> "SetFamily":
-        masks = sorted(set(self.bit_list()), key=_index_order_key)
+        masks = sorted(set(self.masks), key=_index_order_key)
         return SetFamily.from_bits(self.ground, masks)
 
 
 def check_antichain_of_closed(
     b_plus: SetFamily, ground: GroundSet, is_closed: Callable[[int], bool]
-) -> list[int]:
+) -> tuple[int, ...]:
     """The masks of ``b_plus`` once it is checked to lie over ``ground`` and
     to be an antichain of sets that ``is_closed`` accepts."""
     if b_plus.ground != ground:
         raise GroundMismatch(f"antichain over {b_plus.ground!r}, base over {ground!r}")
-    masks = b_plus.bit_list()
+    masks = b_plus.masks
     for m in masks:
         if not is_closed(m):
             raise NotClosed(f"{ElementSet(ground, m)!r} is not closed")

@@ -61,7 +61,7 @@ class BruteForce:
         masks, full = self.masks, self.ground.full_mask
         if isinstance(source, SetFamily):
             cl = np.full(len(masks), np.uint32(full), dtype=np.uint32)
-            for m in source.bit_list():
+            for m in source.masks:
                 inside = (masks & np.uint32(~m & full)) == 0
                 cl[inside] &= np.uint32(m)
             return cl

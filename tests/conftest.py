@@ -208,9 +208,11 @@ def random_standard_mi(rng: random.Random, max_n: int = 9) -> SetFamily:
 def random_mi(rng: random.Random, n: int, sets: int, density: float) -> SetFamily:
     """The bench's ``mi-random`` generator: ``sets`` random subsets of an
     n-element ground, each element kept with probability ``density``,
-    reduced to their meet-irreducible members; redrawn until standard."""
+    reduced to their meet-irreducible members; redrawn until standard, at
+    most 1,000 times, as some sizes are almost never standard."""
     ground = GroundSet([f"e{i + 1}" for i in range(n)])
-    while True:
+    draws = 1000
+    for _ in range(draws):
         masks = [
             sum(1 << i for i in range(n) if rng.random() < density)
             for _ in range(sets)
@@ -227,6 +229,10 @@ def random_mi(rng: random.Random, n: int, sets: int, density: float) -> SetFamil
         family = SetFamily.from_bits(ground, kept)
         if is_standard(ClosureContext.from_mi(family))[0]:
             return family
+    raise ValueError(
+        f"no standard family in {draws} draws of {sets} sets over "
+        f"{n} elements at density {density}"
+    )
 
 
 def random_binary_ib(rng: random.Random, n: int, m: int) -> ImplicationalBase:

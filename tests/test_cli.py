@@ -849,11 +849,13 @@ class TestWritePattern:
         assert flushed_before == flushes
 
     def test_ib_route_flushes_once_per_row(self, monkeypatch, ex2_file):
+        # Each row goes out in one write and one flush.
         out = RecordingStdout()
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["dbase", ex2_file]) == 0
         assert out.flushed == [lines_of([imp]) for imp in iter_d_base(parse_ib(EX2_IB))]
         assert out.pending == ""
+        assert out.writes == len(out.flushed)
 
 
 def chain_text(n: int) -> str:

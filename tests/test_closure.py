@@ -22,7 +22,7 @@ from dbase import (
 from dbase.oracle import closure_rounds
 from dbase.errors import NotSpanning
 
-from conftest import random_ib
+from conftest import random_ib, random_mi
 
 
 class TestClose:
@@ -141,6 +141,13 @@ class TestIsStandard:
     def test_empty_base(self):
         ctx = ClosureContext.from_ib(parse_ib("ground: a b c\n"))
         assert is_standard(ctx) == (True, None)
+
+    def test_random_mi_gives_up_on_sizes_that_are_never_standard(self):
+        # Five sets of density 0.85 over 12 elements are almost never
+        # standard: the test copy of the bench's generator stops redrawing.
+        with pytest.raises(ValueError) as raised:
+            random_mi(random.Random(0), 12, 5, 0.85)
+        assert "1000 draws of 5 sets over 12 elements at density 0.85" in str(raised.value)
 
 
 class TestExtremeElements:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +36,7 @@ from dbase import (
 from dbase.cli import main
 from dbase.dualization import _is_binary_closed, _minimal_transversals
 from dbase.errors import (
+    DBaseError,
     GroundMismatch,
     MalformedGadget,
     NonBinaryImplication,
@@ -353,6 +355,29 @@ class TestEmbedDualization:
             "45_d", "123_d", "145_d", "1234_d", "1245_d",
         }
         assert builds == ["ImplicationalBase"]
+
+    def test_checks_b_plus_as_the_dualizer_does(self):
+        # Both share one closedness test: on drawn families, closed or not,
+        # comparable or not, both accept or both raise the same error.
+        rng = random.Random(41)
+        outcomes = Counter()
+        for _ in range(300):
+            ib = random_binary_ib(rng, rng.randint(2, 7), rng.randint(0, 8))
+            ctx = ClosureContext.from_ib(ib)
+            masks = [rng.randrange(ctx.full_mask + 1) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.5:
+                masks = [ctx.close_bits(m) for m in masks]
+            b_plus = SetFamily.from_bits(ib.ground, masks)
+            results = []
+            for dualize in (dualize_distributive, embed_dualization):
+                try:
+                    dualize(ib, b_plus)
+                    results.append(None)
+                except DBaseError as exc:
+                    results.append((type(exc), str(exc)))
+            assert results[0] == results[1]
+            outcomes[results[0] and results[0][0]] += 1
+        assert outcomes[None] and outcomes[NotClosed] and outcomes[NotAntichain]
 
     def test_full_set_gadget_recovers_empty(self, ex5_ib):
         b_plus = family("12345", "12345")

@@ -15,6 +15,7 @@ from dbase import (
     ReducedBase,
     ReductionReport,
     Relation,
+    SetFamily,
     parse_ib,
     parse_set_family,
     serialize_ib,
@@ -179,7 +180,7 @@ def test_set_family_roundtrip_random():
         n = rng.randint(1, 8)
         ground = GroundSet([f"e{i}" for i in range(n)])
         masks = rng.sample(range(1 << n), rng.randint(0, min(10, 1 << n)))
-        fam = __import__("dbase").SetFamily.from_bits(ground, masks)
+        fam = SetFamily.from_bits(ground, masks)
         assert parse_set_family(serialize_set_family(fam)) == fam.canonicalize()
 
 
@@ -278,12 +279,21 @@ class TestValueSemantics:
         assert ElementSet.__eq__(x, (x.ground, x.bits)) is NotImplemented
         assert Implication.__eq__(p, (p.premise, p.conclusion)) is NotImplemented
 
-    @given(element_sets())
+    @given(element_sets(), st.lists(st.integers(0, 7), max_size=4))
     @settings(max_examples=100, deadline=None)
-    def test_validation_still_raises(self, x):
+    def test_validation_still_raises(self, x, draws):
         n = len(x.ground)
         with pytest.raises(ValueError, match="bits outside the ground set"):
             ElementSet(x.ground, x.bits | 1 << n)
+        with pytest.raises(ValueError, match="bits outside the ground set"):
+            SetFamily.from_bits(x.ground, [x.bits | 1 << n])
+        # A family holds masks and builds its members' element sets on demand.
+        ms = [m & x.ground.full_mask for m in draws]
+        fam = SetFamily.from_bits(x.ground, ms)
+        assert list(fam) == [ElementSet(x.ground, m) for m in ms]
+        assert repr(fam) == f"SetFamily({', '.join(repr(ElementSet(x.ground, m)) for m in ms)})"
+        twin = SetFamily.from_bits(GroundSet(x.ground.names), tuple(ms))
+        assert fam == twin and hash(fam) == hash(twin)
         with pytest.raises(ValueError, match="conclusion outside the ground set"):
             Implication(x, n)
         if x.bits:
