@@ -51,6 +51,7 @@ class ClosureContext:
         "_mi_masks",
         "_singles",
         "_containers",
+        "_representatives",
     )
 
     def __init__(self, source: ImplicationalBase | SetFamily):
@@ -82,6 +83,12 @@ class ClosureContext:
             for x in iter_bits(self._singles[y]):
                 containers[x] |= 1 << y
         self._containers = containers
+        reps = 0
+        for y in range(n):
+            cls = self._singles[y] & containers[y]
+            if cls & -cls == 1 << y:
+                reps |= 1 << y
+        self._representatives = reps
 
     @classmethod
     def from_ib(cls, ib: ImplicationalBase) -> "ClosureContext":
@@ -130,6 +137,13 @@ class ClosureContext:
     def containers(self, x: int) -> int:
         """Bitmask of the elements y with x in cl(y) (includes x itself)."""
         return self._containers[x]
+
+    @property
+    def representatives(self) -> int:
+        """Bitmask of the lowest element of each cl^b-class, the elements
+        sharing one singleton closure; in a standard system every class is a
+        singleton, so this is the whole ground."""
+        return self._representatives
 
     def minimal_elements(self, bits: int) -> int:
         """Members of ``bits`` that no other member's singleton closure holds;

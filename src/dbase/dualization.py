@@ -6,16 +6,16 @@ cl^b-closures of the D-generators of c.  In a standard system cl^b(c) is the
 one member holding c and every member is cl^b of its cl^b-minimal elements,
 so each D-generator is read straight off the dual, unchecked.
 
-The dualizer is Berge multiplication carried out on the lattice: the
-minimal closed sets meeting every complement of B+ are grown one edge at a
-time, each transversal that misses the edge multiplied by the singleton
-closures cl^b(b) of the edge's elements.  cl^b is a union of singleton
-closures, so every product is closed and the family stays an antichain of
-closed sets; only the new products need absorbing.  A product's part in the
-edge is its multiplier's, and a set inside the product has its part in the
-edge inside that one, so each product is tested only against the members
-whose part in the edge lies inside its own.  Equal parts would not do: a
-product may lie inside another whose multiplier's part is larger.
+The dualizer is a depth-first search over cl^b-closed sets in the style of
+MMCS (Murakami and Uno, Discrete Applied Math. 2014).  Every edge, the
+complement of a member of B+, is an up-set, and a closed set is the union of
+the singleton closures of its tops, one element per cl^b-class: so a closed
+set meets an edge exactly when a top does, and it is a minimal one meeting
+every edge exactly when each top has a private edge, one the set meets only
+inside that top's class.  Each level of the search adds one top and keeps
+the branch only while every top keeps a private edge, so each minimal
+transversal comes out once and nothing else does.  No family is stored: the
+explicit stack holds one frame per top, at most |U| of them.
 
 One run of the Mi route builds the Mi context, checks standardness, takes
 the binary part and reads every element's up-arrows off one upper-cover
@@ -50,53 +50,94 @@ from .model import (
 
 
 def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
-    """The minimal cl^b-closed sets meeting every edge, by Berge
-    multiplication over closed sets.
+    """The minimal cl^b-closed sets meeting every edge, each once, by a
+    depth-first search over closed sets; every edge must be the complement
+    of a closed set.
 
-    A closed set meeting the edges so far contains some member T of the
-    family; if T misses the next edge E, it also holds cl^b(b) for some b in
-    E, so it contains the product T | cl^b(b), which is closed.  Members
-    meeting E are kept unchecked: a kept K containing a product would
-    strictly contain T, and the family is an antichain.  Products are
-    absorbed against the kept members and each other, smallest first.
+    Call y a top of a closed set T when no other member of T outside y's
+    class holds y in its singleton closure; a class is the elements whose
+    singleton closures hold each other, and only its lowest element, its
+    representative, is ever taken as a top.  T is the union of cl^b(y) over
+    its tops.  An edge F, the complement of a closed set, is an up-set:
+    cl^b(y) meets F exactly when y lies in F.  So T meets F exactly when a
+    top does, and T is minimal exactly when every top y has a private edge,
+    one that T meets only inside y's class: removing that class leaves a
+    closed set, and any smaller closed set misses some top's whole class.
+    Both tests are masks over the edges: ``hit[y]`` holds the edges holding
+    y, and ``own[y]`` those of them holding nothing strictly below y.  A top
+    y added to T has as private edges those of ``own[y]`` that T left
+    uncovered, and each earlier top keeps those of its private edges that
+    miss y; an element with no ``own`` edge is never a candidate.
 
-    As T misses E, a product's part in E is that of its multiplier,
-    cl^b(b) & E, and a set inside the product has its part in E inside that
-    part.  So a product is tested only against the kept members and accepted
-    products whose part in E lies inside its own: one candidate list per
-    distinct part, at most |E| lists per edge.  The test is inclusion of the
-    parts, not their equality: a product q inside p may have a multiplier
-    whose part is smaller than p's.  When at most one member misses E there
-    are at most |E| products, no more than the lists would number, so they
-    are scanned against every candidate instead.
+    Each level adds one top, drawn from the uncovered edge with the fewest
+    candidates; the branch survives only while the new top, tested first
+    as that costs one mask, and every earlier top keep a private edge.
+    A branch's candidates lose the containers of its top, so no top lies
+    below another, and later siblings lose the top, so no set comes out
+    twice.  Every minimal transversal is reached: its tops form such a
+    chain of branches, as a subset of its tops keeps every private edge.
+    No family is stored: the explicit stack holds one frame per top, so
+    its depth is at most the number of tops, and the ground's size is not
+    bounded by the recursion limit.
     """
-    family = [0]
-    for edge in edges:
-        kept = [t for t in family if t & edge]
-        missing = [t for t in family if not t & edge]
-        singles = [ctx.singleton_closure(b) for b in iter_bits(edge)]
-        products = sorted({t | s for t in missing for s in singles}, key=int.bit_count)
-        fresh: list[int] = []
-        if len(missing) <= 1:
-            for p in products:
-                if not any(k & ~p == 0 for k in kept) and not any(
-                    q & ~p == 0 for q in fresh
-                ):
-                    fresh.append(p)
+    if not edges:
+        return [0]
+    singleton_closure = ctx.singleton_closure
+    containers = ctx.containers
+    reps = ctx.representatives
+    n = len(ctx.ground)
+    hit = [0] * n
+    own = [0] * n
+    useful = 0
+    for i, edge in enumerate(edges):
+        bit = 1 << i
+        for y in iter_bits(edge & reps):
+            hit[y] |= bit
+            if not edge & singleton_closure(y) & ~containers(y):
+                own[y] |= bit
+                useful |= 1 << y
+
+    def frame(closed: int, uncovered: int, privates: list[int], cand: int) -> list:
+        # A node's frame: its set, uncovered edges, the private edges of its
+        # tops, its candidates, and the branches left to try, the candidates
+        # in the uncovered edge with the fewest of them (each edge's lie in
+        # cand, so cand bounds them all).
+        branches = cand
+        for i in iter_bits(uncovered):
+            fewer = edges[i] & cand
+            if fewer.bit_count() < branches.bit_count():
+                branches = fewer
+                if fewer.bit_count() < 2:
+                    break
+        return [closed, uncovered, privates, cand, branches]
+
+    found: list[int] = []
+    stack = [frame(0, (1 << len(edges)) - 1, [], useful)]
+    while stack:
+        node = stack[-1]
+        closed, uncovered, privates, cand, branches = node
+        if not branches:
+            stack.pop()
+            continue
+        low = branches & -branches
+        node[3] = cand ^ low
+        node[4] = branches ^ low
+        y = low.bit_length() - 1
+        mine = own[y] & uncovered
+        if not mine:
+            continue
+        covers = hit[y]
+        kept = [p & ~covers for p in privates]
+        if not all(kept):
+            continue
+        kept.append(mine)
+        closed |= singleton_closure(y)
+        uncovered &= ~covers
+        if uncovered:
+            stack.append(frame(closed, uncovered, kept, cand & ~containers(y)))
         else:
-            parts = {s & edge for s in singles}
-            # part -> the kept members, then the accepted products, inside it
-            inside = {v: [k for k in kept if k & edge & ~v == 0] for v in parts}
-            # part -> the candidate lists of the parts holding it
-            holders = {w: [inside[v] for v in parts if w & ~v == 0] for w in parts}
-            for p in products:
-                part = p & edge
-                if not any(c & ~p == 0 for c in inside[part]):
-                    fresh.append(p)
-                    for candidates in holders[part]:
-                        candidates.append(p)
-        family = kept + fresh
-    return family
+            found.append(closed)
+    return found
 
 
 def _is_binary_closed(ctx: ClosureContext, bits: int) -> bool:

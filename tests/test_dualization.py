@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -118,14 +119,59 @@ class TestDualizeDistributive:
             dualize_distributive(ex5_ib, family("12345", "1", "12"))
 
     def test_absorption_tests_inclusion_of_the_parts_in_the_edge(self):
-        # With 2 -> 1, edge 34 leaves 3 and 4; edge 12 multiplies each by
-        # cl^b(1) = 1 and cl^b(2) = 12.  Product 13 lies inside 123 although
-        # their parts in the edge, 1 and 12, differ, so 123 must go.
+        # With 2 -> 1, the closed sets meeting edges 34 and 12 include 13 and
+        # 123, which meet edge 12 in 1 and 12.  13 lies inside 123 although
+        # those parts differ, so 123 is not minimal: only 13 and 14 are.
         ib = parse_ib("ground: 1 2 3 4\n2 -> 1\n")
         ctx = ClosureContext.from_ib(ib)
         bits = [ib.ground.set_of(s).bits for s in ("34", "12", "13", "14")]
         assert sorted(_minimal_transversals(ctx, bits[:2])) == sorted(bits[2:])
         assert labelsets(dualize_distributive(ib, family("1234", "12", "34"))) == {"13", "14"}
+
+    def test_search_matches_brute_dual_with_cycles(self):
+        # The raw search, before dualize_distributive sorts it, against the
+        # oracle on up to 12 elements; every third base gets a forced cycle,
+        # so some cl^b-classes hold more than one element.
+        rng = random.Random(27)
+        cyclic = 0
+        for draw in range(90):
+            n = rng.randint(1, 12)
+            ib = random_binary_ib(rng, n, rng.randint(0, 14)) if n > 1 else parse_ib("ground: 1\n")
+            if draw % 3 == 0 and n > 2:
+                cycle = rng.sample(range(n), rng.randint(2, min(n, 4)))
+                pairs = [(1 << a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+                ib = ImplicationalBase.build(ib.ground, pairs + [
+                    (imp.premise.bits, imp.conclusion) for imp in ib
+                ])
+            ctx = ClosureContext.from_ib(ib)
+            cyclic += ctx.representatives != ctx.full_mask
+            closed = sorted({ctx.close_bits(rng.randrange(1 << n)) for _ in range(12)})
+            picks = rng.sample(closed, min(len(closed), rng.randint(0, 6)))
+            maximal = [m for m in picks if not any(m != k and m & ~k == 0 for k in picks)]
+            got = _minimal_transversals(ctx, [ctx.full_mask & ~m for m in maximal])
+            assert len(got) == len(set(got))
+            want = brute_dual(ib, SetFamily.from_bits(ib.ground, maximal))
+            assert sorted(got) == sorted(want.bit_list())
+        assert cyclic >= 20
+
+    def test_cyclic_base_dualizes_once(self):
+        # 1 and 2 form one cl^b-class; 124 is the one closed set outside
+        # both 12 and 34, and it comes out once.
+        ib = parse_ib("ground: 1 2 3 4\n1 -> 2\n2 -> 1\n3 -> 4\n")
+        ctx = ClosureContext.from_ib(ib)
+        edges = [ib.ground.set_of(s).bits for s in ("34", "12")]
+        assert _minimal_transversals(ctx, edges) == [ib.ground.set_of("124").bits]
+        assert labelsets(dualize_distributive(ib, family("1234", "12", "34"))) == {"124"}
+
+    def test_deeper_than_the_recursion_limit(self):
+        # No implications and B+ = every U - {i}: 1,100 one-element edges,
+        # whose dual {U} has 1,100 tops, more than the recursion limit.
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        ground = GroundSet([f"e{i}" for i in range(n)])
+        b_plus = SetFamily.from_bits(ground, [ground.full_mask & ~(1 << i) for i in range(n)])
+        got = dualize_distributive(ImplicationalBase.build(ground, []), b_plus)
+        assert got.bit_list() == [ground.full_mask]
 
 
 @st.composite
@@ -545,8 +591,9 @@ def gap_closed_form(n: int) -> set[str]:
 
 
 class TestGapFamilyAtScale:
-    """gap(40), 81 elements: raw-set Berge would hold 2^40 + 1 transversals
-    for the last row; Berge over closed sets holds at most two."""
+    """gap(40), 81 elements: Berge multiplication over raw sets would hold
+    2^40 + 1 transversals for the last row; the search over closed sets
+    holds no family, only a stack as deep as a transversal has tops."""
 
     def test_closed_form_mi_is_the_meet_irreducibles(self):
         for n in range(2, 6):
