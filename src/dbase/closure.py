@@ -5,7 +5,10 @@ implicational base (closures by :func:`chain`, the one chaining loop) or by
 an intersection generating family of closed sets such as the meet-irreducible
 elements (closures by intersecting supersets, the whole ground when none
 exists).  Singleton closures are cached eagerly, so ``close_binary`` never
-re-chains.
+re-chains.  So are the byte tables of ``minimal_elements``, one per 8-bit
+chunk of the ground (see :class:`ClosureContext`): built in ``__init__``,
+their cost falls on the context's construction, never on the first set it
+is asked about.
 """
 from __future__ import annotations
 
@@ -41,6 +44,11 @@ class ClosureContext:
     that leaves cl^b(premise); an empty premise is one such rule and fires at
     once.  A cl^b-closed set respects every singleton premise, so chaining it
     over ``rules`` reaches its closure.
+
+    ``_below`` holds one table per 8-bit chunk of the ground (the last one
+    shorter when the ground's size is not a multiple of 8): entry v is the
+    union of cl(y) minus y over the members y of v, each entry the one
+    without its highest bit joined with that bit's strict closure.
     """
 
     __slots__ = (
@@ -52,6 +60,7 @@ class ClosureContext:
         "_singles",
         "_containers",
         "_representatives",
+        "_below",
     )
 
     def __init__(self, source: ImplicationalBase | SetFamily):
@@ -78,6 +87,13 @@ class ClosureContext:
             self._singles = [self.close_bits(1 << a) for a in range(n)]
         else:
             raise TypeError("source must be an ImplicationalBase or a SetFamily")
+        strict = [s & ~(1 << y) for y, s in enumerate(self._singles)]
+        self._below = tables = []
+        for start in range(0, n, 8):
+            table = [0]
+            for mask in strict[start : start + 8]:
+                table += [entry | mask for entry in table]
+            tables.append(table)
         containers = [0] * n
         for y in range(n):
             for x in iter_bits(self._singles[y]):
@@ -148,13 +164,14 @@ class ClosureContext:
     def minimal_elements(self, bits: int) -> int:
         """Members of ``bits`` that no other member's singleton closure holds;
         for a cl^b-closed set of a standard system, its minimal spanning set
-        under cl^b."""
-        containers = self._containers
-        out = 0
-        for x in iter_bits(bits):
-            if containers[x] & bits == 1 << x:
-                out |= 1 << x
-        return out
+        under cl^b.  x is such a member iff it lies in no cl(y) minus y for y
+        in ``bits``, and the union of those is read off the byte tables, one
+        entry per byte of ``bits``."""
+        tables = self._below
+        below = 0
+        for table, byte in zip(tables, bits.to_bytes(len(tables), "little")):
+            below |= table[byte]
+        return bits & ~below
 
     @property
     def full_mask(self) -> int:

@@ -5,6 +5,8 @@ works on indices (int bitmasks), labels appear only at I/O boundaries.  All
 types are immutable by convention: they are ``__slots__`` classes whose
 attributes are set once in ``__init__`` and never reassigned, so instances are
 safe to hash and to share across threads.  Nothing enforces it at run time.
+The one exception is ``GroundSet``'s label tables, a cache filled on first
+use that equality and hashing ignore; a race only builds equal tables twice.
 
 Text formats
 ------------
@@ -19,6 +21,8 @@ gadget and rejected in user input.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import (
@@ -61,9 +65,16 @@ def _index_order_key(bits: int) -> str:
 
 
 class GroundSet:
-    """Ordered universe of distinct element labels with dense indexing."""
+    """Ordered universe of distinct element labels with dense indexing.
 
-    __slots__ = ("names", "index", "full_mask")
+    ``labels_of`` prints a mask's labels from one table per 8-bit chunk of
+    the ground, built on its first call: entry v of a chunk's table is the
+    labels of v's members joined by spaces, lowest first, each entry the one
+    without its highest bit plus that bit's label.  The tables are a cache,
+    not part of the value: equality and hashing read ``names`` alone.
+    """
+
+    __slots__ = ("names", "index", "full_mask", "_label_tables")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -79,6 +90,7 @@ class GroundSet:
         self.names = names
         self.index = index
         self.full_mask = (1 << len(names)) - 1
+        self._label_tables: list[list[str]] | None = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -97,6 +109,23 @@ class GroundSet:
 
     def label(self, pos: int) -> str:
         return self.names[pos]
+
+    def labels_of(self, bits: int) -> str:
+        """The labels of the members of ``bits``, lowest first, joined by
+        single spaces; the empty string for the empty set."""
+        tables = self._label_tables
+        if tables is None:
+            tables = []
+            for start in range(0, len(self.names), 8):
+                table = [""]
+                for name in self.names[start : start + 8]:
+                    spaced = " " + name
+                    table += [head + spaced if head else name for head in table]
+                tables.append(table)
+            # Published whole, so no thread ever reads a partial list.
+            self._label_tables = tables
+        chunks = bits.to_bytes(len(tables), "little")
+        return " ".join([table[byte] for table, byte in zip(tables, chunks) if byte])
 
     def position(self, label: str) -> int:
         try:
@@ -152,7 +181,7 @@ class ElementSet:
         return tuple(self.ground.names[i] for i in self)
 
     def __repr__(self) -> str:
-        return "{%s}" % " ".join(self.labels())
+        return "{%s}" % self.ground.labels_of(self.bits)
 
 
 class Implication:
@@ -191,8 +220,10 @@ class Implication:
 
     def format(self) -> str:
         # An empty premise prints as "-> c", which the parser reads back.
-        names = self.premise.ground.names
-        return " ".join([*(names[i] for i in self.premise), "->", names[self.conclusion]])
+        ground = self.premise.ground
+        premise = ground.labels_of(self.premise.bits)
+        conclusion = ground.names[self.conclusion]
+        return f"{premise} -> {conclusion}" if premise else f"-> {conclusion}"
 
     def __repr__(self) -> str:
         return f"<{self.format()}>"
@@ -312,16 +343,28 @@ def check_antichain_of_closed(
     b_plus: SetFamily, ground: GroundSet, is_closed: Callable[[int], bool]
 ) -> tuple[int, ...]:
     """The masks of ``b_plus`` once it is checked to lie over ``ground`` and
-    to be an antichain of sets that ``is_closed`` accepts."""
+    to be an antichain of sets that ``is_closed`` accepts.
+
+    Two distinct sets of one size are never comparable, so after one check
+    for a repeated mask each member is compared only with the strictly
+    larger ones: in a B+ of equal-sized members no pair is compared.
+    """
     if b_plus.ground != ground:
         raise GroundMismatch(f"antichain over {b_plus.ground!r}, base over {ground!r}")
     masks = b_plus.masks
     for m in masks:
         if not is_closed(m):
             raise NotClosed(f"{ElementSet(ground, m)!r} is not closed")
-    for i, m in enumerate(masks):
-        for k in masks[i + 1 :]:
-            if m & ~k == 0 or k & ~m == 0:
+    if len(masks) < 2:
+        return masks
+    if len(set(masks)) != len(masks):
+        twice = next(m for m, count in Counter(masks).items() if count > 1)
+        raise NotAntichain(f"{ElementSet(ground, twice)!r} is listed twice")
+    by_size = sorted(masks, key=int.bit_count)
+    sizes = [m.bit_count() for m in by_size]
+    for m, size in zip(by_size, sizes):
+        for k in by_size[bisect_right(sizes, size) :]:
+            if m & ~k == 0:
                 raise NotAntichain(
                     f"{ElementSet(ground, m)!r} and {ElementSet(ground, k)!r} are comparable"
                 )
@@ -461,8 +504,9 @@ def serialize_ib(ib: ImplicationalBase) -> str:
 def serialize_set_family(family: SetFamily) -> str:
     """Canonical text form: ground line, members sorted by index tuple."""
     out = ["ground: " + " ".join(family.ground.names)]
-    for es in family.canonicalize():
-        out.append(" ".join(es.labels()) if es else EMPTY_SET_TOKEN)
+    ground = family.ground
+    for m in family.canonicalize().masks:
+        out.append(ground.labels_of(m) if m else EMPTY_SET_TOKEN)
     return "\n".join(out) + "\n"
 
 

@@ -12,6 +12,7 @@ from dbase import (
     ElementSet,
     GroundSet,
     ImplicationalBase,
+    SetFamily,
     binary_part,
     extreme_elements,
     is_standard,
@@ -21,6 +22,7 @@ from dbase import (
 )
 from dbase.oracle import closure_rounds
 from dbase.errors import NotSpanning
+from dbase.model import iter_bits
 
 from conftest import random_ib, random_mi
 
@@ -230,3 +232,44 @@ def test_empty_premise_seeds_closure():
     ctx = ClosureContext.from_ib(ib)
     assert ctx.close_bits(0) == 0b001
     assert ctx.close_bits(0b010) == 0b111
+
+
+@st.composite
+def contexts_across_byte_boundaries(draw):
+    """An IB or Mi context on n elements, n on both sides of the 8-element
+    chunks of the ``minimal_elements`` tables, its binary part made cyclic
+    at times by tying two elements into one cl^b-class."""
+    n = draw(st.sampled_from((0, 7, 8, 9, 17, 30)))
+    ground = GroundSet([str(i + 1) for i in range(n)])
+    tie = draw(st.booleans()) and n >= 2
+    if tie:
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        pairs = []
+        for _ in range(draw(st.integers(0, 2 * n))):
+            premise = draw(st.integers(1, ground.full_mask))
+            pairs.append((premise, draw(st.integers(0, n - 1))))
+        if tie:
+            pairs += [(1 << a, b), (1 << b, a)]
+        return ClosureContext.from_ib(ImplicationalBase.build(ground, pairs))
+    masks = draw(st.lists(st.integers(0, ground.full_mask), max_size=12))
+    if tie:
+        pair = 1 << a | 1 << b
+        masks = [m | pair if m & pair else m for m in masks]
+    return ClosureContext.from_mi(SetFamily.from_bits(ground, masks))
+
+
+@given(contexts_across_byte_boundaries(), st.lists(st.integers(0, (1 << 30) - 1), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_minimal_elements_is_the_per_bit_definition(ctx, drawn):
+    # x is minimal in ``bits`` iff the only member of ``bits`` whose
+    # singleton closure holds x is x itself.
+    full = ctx.full_mask
+    sets = [0, full, *(m & full for m in drawn)]
+    sets += [ctx.close_binary_bits(m) for m in sets]
+    for bits in sets:
+        want = 0
+        for x in iter_bits(bits):
+            if ctx.containers(x) & bits == 1 << x:
+                want |= 1 << x
+        assert ctx.minimal_elements(bits) == want

@@ -25,11 +25,19 @@ from dbase import (
 from dbase.errors import (
     DuplicateGround,
     DuplicateSet,
+    GroundMismatch,
     GroundTooLarge,
+    NotAntichain,
+    NotClosed,
     ParseError,
     UnknownElement,
 )
-from dbase.model import DEFAULT_MAX_GROUND, _index_order_key, iter_bits
+from dbase.model import (
+    DEFAULT_MAX_GROUND,
+    _index_order_key,
+    check_antichain_of_closed,
+    iter_bits,
+)
 
 from conftest import EX1_MI, EX2_IB, EX4_DBASE, labelsets
 
@@ -358,3 +366,89 @@ def test_index_order_key_sorts_like_index_tuples(drawn):
     assert sorted(masks, key=_index_order_key) == sorted(
         masks, key=lambda m: tuple(iter_bits(m))
     )
+
+
+# Ground sizes on both sides of the 8-element chunks of the label tables.
+_TABLE_GROUND_SIZES = (0, 1, 7, 8, 9, 16, 17, 200)
+
+
+@st.composite
+def grounds_and_masks(draw):
+    """A ground of multi-character labels of varied lengths and masks over
+    it, the empty mask (an empty premise, printed as "-> c") among them."""
+    n = draw(st.sampled_from(_TABLE_GROUND_SIZES))
+    ground = GroundSet([f"v{i}{'_x' * (i % 3)}" for i in range(n)])
+    masks = draw(st.lists(st.integers(0, ground.full_mask), min_size=1, max_size=8))
+    return ground, [0, ground.full_mask, *masks]
+
+
+class TestLabelTables:
+    @given(grounds_and_masks())
+    @settings(max_examples=150, deadline=None)
+    def test_labels_of_joins_the_labels_lowest_first(self, drawn):
+        ground, masks = drawn
+        for m in masks:
+            assert ground.labels_of(m) == " ".join(ground.names[i] for i in iter_bits(m))
+
+    @given(grounds_and_masks(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_format_matches_the_joined_labels(self, drawn, data):
+        ground, masks = drawn
+        if not len(ground):
+            return
+        names = ground.names
+        for m in masks:
+            free = [i for i in range(len(ground)) if not m >> i & 1]
+            if not free:
+                continue  # the full mask, no conclusion outside it
+            c = data.draw(st.sampled_from(free))
+            imp = Implication(ElementSet(ground, m), c)
+            want = " ".join([*(names[i] for i in iter_bits(m)), "->", names[c]])
+            assert imp.format() == want
+
+    def test_tables_do_not_change_equality(self):
+        used, fresh = GroundSet(["ab", "c"]), GroundSet(["ab", "c"])
+        assert used.labels_of(0b11) == "ab c"
+        assert used == fresh and hash(used) == hash(fresh)
+
+
+class TestCheckAntichainOfClosed:
+    GROUND = GroundSet(["a", "b", "c", "d"])
+
+    def check(self, masks, is_closed=lambda m: True):
+        return check_antichain_of_closed(
+            SetFamily.from_bits(self.GROUND, masks), self.GROUND, is_closed)
+
+    def test_comparable_pair_of_different_sizes(self):
+        # The larger set listed first: still reported smaller first.
+        with pytest.raises(NotAntichain, match=r"\{a\} and \{a b c\} are comparable"):
+            self.check([0b0111, 0b1000, 0b0001])
+
+    def test_repeated_mask(self):
+        with pytest.raises(NotAntichain, match=r"\{b c\} is listed twice"):
+            self.check([0b0110, 0b0001, 0b0110])
+
+    def test_same_size_distinct_sets_pass(self):
+        masks = [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+        assert self.check(masks) == tuple(masks)
+
+    def test_closedness_and_ground_are_checked_first(self):
+        with pytest.raises(NotClosed, match=r"\{a b\} is not closed"):
+            self.check([0b0001, 0b0011], is_closed=lambda m: m != 0b0011)
+        with pytest.raises(GroundMismatch):
+            check_antichain_of_closed(
+                SetFamily.from_bits(GroundSet(["a"]), [1]), self.GROUND, lambda m: True)
+
+    @given(st.lists(st.integers(0, 15), max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_every_pair(self, masks):
+        comparable = any(
+            m & ~k == 0 or k & ~m == 0
+            for i, m in enumerate(masks)
+            for k in masks[i + 1 :]
+        )
+        if comparable:
+            with pytest.raises(NotAntichain):
+                self.check(masks)
+        else:
+            assert self.check(masks) == tuple(masks)
