@@ -8,16 +8,9 @@ with exhaustive brute-force oracles for cross-checking at desk scale.
 
 __version__ = "0.1.0"
 
-from .closure import (
-    ClosureContext,
-    binary_part,
-    extreme_elements,
-    is_standard,
-    min_spanning_set,
-)
+from .closure import ClosureContext, binary_part, is_standard
 from .dualization import (
     d_base_from_mi,
-    d_generators_from_mi,
     dualize_distributive,
     embed_dualization,
     iter_d_base_from_mi,
@@ -40,7 +33,6 @@ from .lattice import (
     classify,
     d_relation,
     delta_relation,
-    down_arrow,
     meet_irreducibles,
     meet_irreducibles_distributive,
     up_arrow,
@@ -58,25 +50,13 @@ from .model import (
     serialize_relation,
     serialize_set_family,
 )
-from .oracle import (
-    BruteForce,
-    brute_dual,
-)
+from .oracle import BruteForce, brute_dual
 from .traversal import (
     d_base,
     enumerate_d_generators,
     has_d_generators,
     is_d_generator,
     iter_d_base,
-)
-# The paper-level reduced-base reference: importable from here for the
-# tests, but not part of the public API.
-from .traversal import (
-    ReducedBase,
-    build_reduced_base,
-    min_reduce,
-    neighbors,
-    reduced_context,
 )
 
 __all__ = [
@@ -97,14 +77,11 @@ __all__ = [
     "classify",
     "d_base",
     "d_base_from_mi",
-    "d_generators_from_mi",
     "d_relation",
     "delta_relation",
-    "down_arrow",
     "dualize_distributive",
     "embed_dualization",
     "enumerate_d_generators",
-    "extreme_elements",
     "gen_acyclic_instance",
     "gen_lower_bounded_instance",
     "has_d_generators",
@@ -114,7 +91,6 @@ __all__ = [
     "iter_d_base_from_mi",
     "meet_irreducibles",
     "meet_irreducibles_distributive",
-    "min_spanning_set",
     "one_in_three_assignments",
     "parse_cnf",
     "parse_ib",

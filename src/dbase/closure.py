@@ -136,14 +136,17 @@ class ClosureContext:
             out |= singles[a]
         return out
 
-    def close(self, aset: ElementSet) -> ElementSet:
+    def require_ground(self, aset: ElementSet) -> None:
+        """Raise ``ValueError`` unless ``aset`` lies over this ground."""
         if aset.ground != self.ground:
             raise ValueError("set over a different ground set")
+
+    def close(self, aset: ElementSet) -> ElementSet:
+        self.require_ground(aset)
         return ElementSet(self.ground, self.close_bits(aset.bits))
 
     def close_binary(self, aset: ElementSet) -> ElementSet:
-        if aset.ground != self.ground:
-            raise ValueError("set over a different ground set")
+        self.require_ground(aset)
         return ElementSet(self.ground, self.close_binary_bits(aset.bits))
 
     def singleton_closure(self, a: int) -> int:
@@ -179,13 +182,14 @@ class ClosureContext:
 
 
 def binary_part(ctx: ClosureContext) -> ImplicationalBase:
-    """All valid non-trivial binary implications of the closure system."""
+    """All valid non-trivial binary implications of the closure system, in
+    canonical order: by premise element, then conclusion."""
     ground = ctx.ground
     pairs = []
     for a in range(len(ground)):
         for c in iter_bits(ctx.singleton_closure(a) & ~(1 << a)):
             pairs.append((1 << a, c))
-    return ImplicationalBase.build(ground, pairs).canonicalize()
+    return ImplicationalBase.build(ground, pairs)
 
 
 def is_standard(ctx: ClosureContext) -> tuple[bool, int | None]:

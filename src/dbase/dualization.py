@@ -29,10 +29,12 @@ fresh element with the reserved label ``_d``.
 """
 from __future__ import annotations
 
-from .closure import ClosureContext, binary_part, is_standard
+from .closure import ClosureContext, binary_part
+# Unused here, but perfbench's tracer wraps dbase.dualization.is_standard.
+from .closure import is_standard  # noqa: F401
 # Unused here, but perfbench's tracer wraps dbase.dualization.min_spanning_set.
 from .closure import min_spanning_set  # noqa: F401
-from .errors import MalformedGadget, NotStandard
+from .errors import MalformedGadget
 from .lattice import _minimal_masks, _up_arrows, meet_irreducibles_distributive
 # Unused here, but perfbench's tracer wraps dbase.dualization.up_arrow.
 from .lattice import up_arrow  # noqa: F401
@@ -47,6 +49,7 @@ from .model import (
     check_antichain_of_closed,
     iter_bits,
 )
+from .traversal import _require_standard
 
 
 def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
@@ -182,11 +185,7 @@ def dualize_distributive(
 def _mi_context(mi: SetFamily) -> tuple[ClosureContext, ImplicationalBase]:
     # The Mi context, checked standard, and its binary part.
     ctx = ClosureContext.from_mi(mi)
-    std, witness = is_standard(ctx)
-    if not std:
-        raise NotStandard(
-            f"cl({mi.ground.label(witness)}) minus itself is not closed"
-        )
+    _require_standard(ctx)
     return ctx, binary_part(ctx)
 
 
@@ -217,6 +216,7 @@ def d_generators_from_mi(mi: SetFamily, c: int) -> list[ElementSet]:
     elements, its unique minimal spanning set.  Both steps go unchecked, as
     the checked standardness implies them.  Empty exactly when c is join-prime.
     """
+    mi.ground.require_target(c)
     ctx, bp = _mi_context(mi)
     kernels = _d_generator_masks(ctx, bp, _up_arrows(mi)[c], c)
     return [ElementSet(mi.ground, k) for k in kernels]

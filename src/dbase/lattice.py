@@ -119,12 +119,14 @@ def _up_arrows(mi: SetFamily) -> list[list[int]]:
 
 def up_arrow(mi: SetFamily, a: int) -> SetFamily:
     """Maximal members of the family omitting ``a`` (the M with a up-arrow M)."""
+    mi.ground.require_target(a)
     return SetFamily.from_bits(mi.ground, _up_arrows(mi)[a])
 
 
 def down_arrow(mi: SetFamily, a: int) -> SetFamily:
     """Members omitting ``a`` but containing cl(a) minus a (M down-arrow a);
     cl(a) is the meet of the members holding a."""
+    mi.ground.require_target(a)
     masks = mi.masks
     body = mi.ground.full_mask & ~(1 << a)
     for m in masks:

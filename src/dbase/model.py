@@ -110,6 +110,11 @@ class GroundSet:
     def label(self, pos: int) -> str:
         return self.names[pos]
 
+    def require_target(self, c: int) -> None:
+        """Raise ``ValueError`` unless ``c`` indexes an element."""
+        if not 0 <= c < len(self.names):
+            raise ValueError(f"target {c} outside the ground set")
+
     def labels_of(self, bits: int) -> str:
         """The labels of the members of ``bits``, lowest first, joined by
         single spaces; the empty string for the empty set."""
@@ -212,11 +217,9 @@ class Implication:
         return len(self.premise) == 1
 
     def sort_key(self) -> tuple:
-        # Canonical order: binary first by (premise element, conclusion),
-        # then non-binary by (sorted premise indices, conclusion).
-        if self.is_binary:
-            return (0, (next(iter(self.premise)),), self.conclusion)
-        return (1, tuple(self.premise), self.conclusion)
+        # Canonical order: binary first, each part by (sorted premise
+        # indices, conclusion).
+        return (not self.is_binary, _index_order_key(self.premise.bits), self.conclusion)
 
     def format(self) -> str:
         # An empty premise prints as "-> c", which the parser reads back.

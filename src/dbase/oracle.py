@@ -91,6 +91,7 @@ class BruteForce:
 
     def minimal_generator_masks(self, c: int) -> list[int]:
         """Non-trivial minimal generators of c by exhaustive scan."""
+        self.ground.require_target(c)
         import numpy as np
         cbit = np.uint32(1 << c)
         cand = ((self.cl & cbit) != 0) & ((self.masks & cbit) == 0)

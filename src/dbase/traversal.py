@@ -51,6 +51,7 @@ MEMO_CAP = 1 << 18
 
 
 def _require_standard(ctx: ClosureContext) -> None:
+    # The one standardness check of both routes; the Mi route imports it.
     std, witness = is_standard(ctx)
     if not std:
         raise NotStandard(
@@ -76,10 +77,8 @@ def is_d_generator(ctx: ClosureContext, aset: ElementSet, c: int) -> bool:
     Characterization: c in cl(A) and, for every a in A, c not in
     cl(cl^b(A) minus a).
     """
-    if aset.ground != ctx.ground:
-        raise ValueError("set over a different ground set")
-    if not 0 <= c < len(ctx.ground):
-        raise ValueError(f"target {c} outside the ground set")
+    ctx.require_ground(aset)
+    ctx.ground.require_target(c)
     if aset.bits >> c & 1:
         raise TargetInSet(f"target {ctx.ground.label(c)!r} belongs to the set")
     return _is_key(ctx, aset.bits, 1 << c)
@@ -87,6 +86,7 @@ def is_d_generator(ctx: ClosureContext, aset: ElementSet, c: int) -> bool:
 
 def restricted_universe(ctx: ClosureContext, c: int) -> ElementSet:
     """U_c: the elements whose singleton closure avoids c."""
+    ctx.ground.require_target(c)
     return ElementSet(ctx.ground, ctx.full_mask & ~ctx.containers(c))
 
 

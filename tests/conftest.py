@@ -14,12 +14,11 @@ from dbase import (
     SetFamily,
     is_standard,
     meet_irreducibles,
-    neighbors,
     parse_ib,
     parse_set_family,
-    reduced_context,
 )
 from dbase.lattice import closed_set_masks
+from dbase.traversal import build_reduced_base, neighbors, reduced_context
 
 # The running system of the worked examples: a 6-element closure system given
 # as an IB (EX2), as its meet-irreducibles (EX1), with canonical direct base
@@ -294,8 +293,6 @@ class DuplicateDetector:
 
 def bfs_d_generators_from(ib: ImplicationalBase, c: int, seed: ElementSet, order="size-label"):
     """Reachable D-generators within one target's solution graph, from a seed."""
-    from dbase import build_reduced_base
-
     rb = build_reduced_base(ib, c, order=order)
     ctx_c = reduced_context(rb)
     visited = {seed.bits}

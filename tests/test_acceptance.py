@@ -14,7 +14,6 @@ from dbase import (
     ClosureContext,
     ImplicationalBase,
     binary_part,
-    build_reduced_base,
     d_base,
     d_base_from_mi,
     d_relation,
@@ -26,17 +25,15 @@ from dbase import (
     iter_d_base,
     iter_d_base_from_mi,
     meet_irreducibles,
-    min_reduce,
-    neighbors,
     parse_ib,
     parse_set_family,
     random_cnf,
-    reduced_context,
     serialize_ib,
     up_arrow,
     verify_reduction,
 )
 from dbase.cli import main as cli_main
+from dbase.traversal import build_reduced_base, min_reduce, neighbors, reduced_context
 
 from conftest import (
     EX2_IB,

@@ -14,12 +14,11 @@ from dbase import (
     ImplicationalBase,
     SetFamily,
     binary_part,
-    extreme_elements,
     is_standard,
-    min_spanning_set,
     parse_ib,
     parse_set_family,
 )
+from dbase.closure import extreme_elements, min_spanning_set
 from dbase.oracle import closure_rounds
 from dbase.errors import NotSpanning
 from dbase.model import iter_bits
@@ -273,3 +272,10 @@ def test_minimal_elements_is_the_per_bit_definition(ctx, drawn):
             if ctx.containers(x) & bits == 1 << x:
                 want |= 1 << x
         assert ctx.minimal_elements(bits) == want
+
+
+@given(contexts_across_byte_boundaries())
+@settings(max_examples=100, deadline=None)
+def test_binary_part_comes_out_in_canonical_order(ctx):
+    part = binary_part(ctx)
+    assert part == part.canonicalize()

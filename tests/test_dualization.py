@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dbase.dualization
+import dbase.traversal
 from dbase import (
     BruteForce,
     ClosureContext,
@@ -20,7 +21,6 @@ from dbase import (
     brute_dual,
     d_base,
     d_base_from_mi,
-    d_generators_from_mi,
     dualize_distributive,
     embed_dualization,
     is_standard,
@@ -35,7 +35,11 @@ from dbase import (
     up_arrow,
 )
 from dbase.cli import main
-from dbase.dualization import _is_binary_closed, _minimal_transversals
+from dbase.dualization import (
+    _is_binary_closed,
+    _minimal_transversals,
+    d_generators_from_mi,
+)
 from dbase.errors import (
     DBaseError,
     GroundMismatch,
@@ -290,7 +294,7 @@ class TestDBaseFromMi:
     ):
         counts = {"mi_ctx": 0, "binary_part": 0, "standard": 0}
         init = ClosureContext.__init__
-        part, check = dbase.dualization.binary_part, dbase.dualization.is_standard
+        part, check = dbase.dualization.binary_part, dbase.traversal.is_standard
 
         def counting_init(self, source):
             counts["mi_ctx"] += isinstance(source, SetFamily)
@@ -306,7 +310,8 @@ class TestDBaseFromMi:
 
         monkeypatch.setattr(ClosureContext, "__init__", counting_init)
         monkeypatch.setattr(dbase.dualization, "binary_part", counting_part)
-        monkeypatch.setattr(dbase.dualization, "is_standard", counting_check)
+        # Both routes raise NotStandard from traversal._require_standard.
+        monkeypatch.setattr(dbase.traversal, "is_standard", counting_check)
         rows = list(iter_d_base_from_mi(ex1_mi))
         assert serialize_ib(ImplicationalBase(ex1_mi.ground, rows).canonicalize()) == EX4_DBASE
         assert counts == {"mi_ctx": 1, "binary_part": 1, "standard": 1}

@@ -83,3 +83,39 @@ def test_dbase_stream_loads_no_unused_module(tmp_path):
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 8 + 8  # eight rows from each route
     assert done.stderr.split() == []
+
+
+# The paper-level reduced-base reference and the names only the tests and
+# the bench's tracer use live in their modules, not in the package namespace.
+DROPPED_FROM_NAMESPACE = (
+    "ReducedBase", "build_reduced_base", "reduced_context", "min_reduce", "neighbors",
+    "extreme_elements", "min_spanning_set", "d_generators_from_mi", "down_arrow",
+)
+# What the bench imports from the package namespace.
+PERFBENCH_NAMES = (
+    "ClosureContext", "GroundSet", "ImplicationalBase", "SetFamily", "binary_part",
+    "gen_lower_bounded_instance", "is_d_generator", "is_standard",
+    "iter_d_base_from_mi", "meet_irreducibles", "random_cnf",
+)
+
+
+@pytest.mark.parametrize("name", DROPPED_FROM_NAMESPACE)
+def test_reference_and_test_only_names_are_not_exported(name):
+    assert not hasattr(dbase, name)
+
+
+def test_every_exported_name_resolves():
+    for name in dbase.__all__:
+        assert hasattr(dbase, name), name
+
+
+def test_names_the_bench_imports_are_exported():
+    bench = Path(dbase.__file__).resolve().parents[2] / "perfbench"
+    imported = set()
+    for path in bench.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dbase":
+                imported.update(alias.name for alias in node.names)
+    assert imported <= set(PERFBENCH_NAMES)
+    for name in PERFBENCH_NAMES:
+        assert name in dbase.__all__ and hasattr(dbase, name), name

@@ -16,7 +16,6 @@ from dbase import (
     classify,
     d_relation,
     delta_relation,
-    down_arrow,
     meet_irreducibles,
     meet_irreducibles_distributive,
     parse_cnf,
@@ -30,6 +29,7 @@ from dbase.lattice import (
     _minimal_masks,
     _up_arrows,
     closed_set_masks,
+    down_arrow,
     implication_graph_acyclic,
     longest_path,
 )

@@ -6,22 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbase import (
+    BruteForce,
     Classification,
+    ClosureContext,
     ElementSet,
     GroundSet,
     Implication,
     ImplicationalBase,
     PositiveCnf,
-    ReducedBase,
     ReductionReport,
     Relation,
     SetFamily,
+    enumerate_d_generators,
+    has_d_generators,
+    is_d_generator,
     parse_ib,
     parse_set_family,
     serialize_ib,
     serialize_relation,
     serialize_set_family,
+    up_arrow,
 )
+from dbase.dualization import d_generators_from_mi
 from dbase.errors import (
     DuplicateGround,
     DuplicateSet,
@@ -38,6 +44,8 @@ from dbase.model import (
     check_antichain_of_closed,
     iter_bits,
 )
+from dbase.lattice import down_arrow
+from dbase.traversal import ReducedBase, build_reduced_base, restricted_universe
 
 from conftest import EX1_MI, EX2_IB, EX4_DBASE, labelsets
 
@@ -366,6 +374,66 @@ def test_index_order_key_sorts_like_index_tuples(drawn):
     assert sorted(masks, key=_index_order_key) == sorted(
         masks, key=lambda m: tuple(iter_bits(m))
     )
+
+
+# Every entry point that takes a target, called on the running example (its
+# IB, context and Mi family) with the target given.  Without the one check in
+# GroundSet.require_target, three answered wrongly instead of raising:
+# up_arrow(mi, -1) gave element 6's up-arrows, and down_arrow(mi, 6) and
+# BruteForce(ib).d_generators(6) came out empty.  Likewise restricted_universe
+# gave element 6's U_c for -1, and BruteForce's other three scans of 6 came
+# out empty; the rest failed with IndexError or "negative shift count".
+TARGET_CALLS = {
+    "is_d_generator": lambda ib, ctx, mi, c: is_d_generator(ctx, ib.ground.empty(), c),
+    "restricted_universe": lambda ib, ctx, mi, c: restricted_universe(ctx, c),
+    "has_d_generators": lambda ib, ctx, mi, c: has_d_generators(ctx, c),
+    "enumerate_d_generators": lambda ib, ctx, mi, c: list(enumerate_d_generators(ib, c)),
+    "build_reduced_base": lambda ib, ctx, mi, c: build_reduced_base(ib, c),
+    "d_generators_from_mi": lambda ib, ctx, mi, c: d_generators_from_mi(mi, c),
+    "up_arrow": lambda ib, ctx, mi, c: up_arrow(mi, c),
+    "down_arrow": lambda ib, ctx, mi, c: down_arrow(mi, c),
+    "minimal_generator_masks": lambda ib, ctx, mi, c: BruteForce(ib).minimal_generator_masks(c),
+    "d_generator_masks": lambda ib, ctx, mi, c: BruteForce(ib).d_generator_masks(c),
+    "minimal_generators": lambda ib, ctx, mi, c: BruteForce(ib).minimal_generators(c),
+    "d_generators": lambda ib, ctx, mi, c: BruteForce(ib).d_generators(c),
+}
+
+
+@pytest.mark.parametrize("c", [-1, pytest.param(6, id="len(ground)")])
+@pytest.mark.parametrize("name", list(TARGET_CALLS))
+def test_target_outside_the_ground_is_refused(name, c):
+    ib, mi = parse_ib(EX2_IB), parse_set_family(EX1_MI)
+    assert len(ib.ground) == 6
+    with pytest.raises(ValueError, match=f"^target {c} outside the ground set$"):
+        TARGET_CALLS[name](ib, ClosureContext.from_ib(ib), mi, c)
+
+
+_SORT_GROUND = GroundSet([f"e{i}" for i in range(10)])
+
+
+@st.composite
+def unit_implications(draw):
+    premise = draw(st.integers(0, _SORT_GROUND.full_mask))
+    free = [i for i in range(10) if not premise >> i & 1]
+    if not free:
+        premise = 0
+        free = list(range(10))
+    return Implication(ElementSet(_SORT_GROUND, premise), draw(st.sampled_from(free)))
+
+
+@given(st.lists(unit_implications(), max_size=15))
+@settings(max_examples=200, deadline=None)
+def test_sort_key_orders_like_the_index_tuple_key(drawn):
+    # The canonical order of rows: binary first, each part by the tuple of
+    # premise indices, then the conclusion; the empty premise included.
+    def tuple_key(imp):
+        return (0 if imp.is_binary else 1, tuple(imp.premise), imp.conclusion)
+
+    empty = ElementSet(_SORT_GROUND, 0)
+    imps = [Implication(empty, 0), Implication(empty, 9), *drawn]
+    for a in imps:
+        for b in imps:
+            assert (a.sort_key() < b.sort_key()) == (tuple_key(a) < tuple_key(b))
 
 
 # Ground sizes on both sides of the 8-element chunks of the label tables.

@@ -15,7 +15,6 @@ from dbase import (
     ElementSet,
     GroundSet,
     ImplicationalBase,
-    build_reduced_base,
     d_base,
     enumerate_d_generators,
     has_d_generators,
@@ -24,10 +23,7 @@ from dbase import (
     iter_d_base,
     iter_d_base_from_mi,
     meet_irreducibles,
-    min_reduce,
-    neighbors,
     parse_ib,
-    reduced_context,
     serialize_ib,
 )
 from dbase.closure import chain
@@ -41,7 +37,15 @@ from dbase.errors import (
 )
 from dbase.gadgets import gen_acyclic_instance, gen_lower_bounded_instance, random_cnf
 from dbase.model import iter_bits
-from dbase.traversal import _SolutionGraph, _min_steps, _premise_table
+from dbase.traversal import (
+    _SolutionGraph,
+    _min_steps,
+    _premise_table,
+    build_reduced_base,
+    min_reduce,
+    neighbors,
+    reduced_context,
+)
 
 from conftest import (
     EX4_DBASE,
