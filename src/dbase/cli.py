@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 domain error (bad input, violated precondition),
 2 usage error.  ``-`` stands for stdin/stdout.  The ``dbase`` subcommand
 streams implications as they are produced, one per line, flushed eagerly:
 per row on the IB route, per element on the Mi route, whose rows for one
-element are found together; each flush follows one write.
+element are found together; each flush follows one write.  The Mi route's
+element rows go from D-generator masks to text through
+``GroundSet.labels_of``, the one label path, with no object per row.
 """
 from __future__ import annotations
 
@@ -116,21 +118,36 @@ def _cmd_mi(args) -> int:
     return 0
 
 
+def _mi_route_text(mi):
+    # The Mi route's text: the binary part, then each element's rows in one
+    # chunk, joined straight from its D-generator masks by labels_of with no
+    # object per row.  No kernel is empty, as a standard system has
+    # cl(empty) = empty, so the "-> c" form of Implication.format never arises.
+    batches = _d_base_batches_from_mi(mi)
+    binary = next(batches)
+    if binary:
+        yield "".join(f"{imp.format()}\n" for imp in binary)
+    names, labels_of = mi.ground.names, mi.ground.labels_of
+    for c, kernels in batches:
+        tail = f" -> {names[c]}\n"
+        yield tail.join(map(labels_of, kernels)) + tail
+
+
 def _cmd_dbase(args) -> int:
-    # Each batch goes out in one write and one flush: on the Mi route the
-    # binary part, then one element's rows, which one dualization finds
+    # Each chunk of text goes out in one write and one flush: on the Mi route
+    # the binary part, then one element's rows, which one dualization finds
     # together; on the IB route each row, found one traversal step apart.
     if args.source == "mi":
-        batches = _d_base_batches_from_mi(_load_family(args, args.file))
+        chunks = _mi_route_text(_load_family(args, args.file))
     else:
         stream = iter_d_base(
             _load_ib(args, args.file),
             order=args.order or ORDER_POLICIES[0],
             max_states=args.max_states,
         )
-        batches = ((imp,) for imp in stream)
-    for batch in batches:
-        sys.stdout.write("".join(f"{imp.format()}\n" for imp in batch))
+        chunks = (f"{imp.format()}\n" for imp in stream)
+    for chunk in chunks:
+        sys.stdout.write(chunk)
         sys.stdout.flush()
     return 0
 

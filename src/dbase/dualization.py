@@ -23,7 +23,10 @@ table, once; then it makes one dualization per element on that same
 context: its singleton closures are those of cs^b, so its cl^b is the
 closure of the binary part.  B+ is checked closed on each member's
 complement, which for up-arrows is small.  An element's rows come out of
-its one dualization together, and the CLI writes them in one batch.
+its one dualization together, as D-generator masks: the CLI turns them into
+text through ``GroundSet.labels_of`` in one join, with no object per row,
+and writes them in one batch; the library's streams build the rows from the
+same masks.
 Both reduction directions are provided; the embedding gadget marks its
 fresh element with the reserved label ``_d``.
 """
@@ -229,25 +232,31 @@ def d_base_from_mi(mi: SetFamily) -> ImplicationalBase:
 
 def iter_d_base_from_mi(mi: SetFamily):
     """Streaming variant: binary part first, then per-element dualizations."""
-    for batch in _d_base_batches_from_mi(mi):
-        yield from batch
+    batches = _d_base_batches_from_mi(mi)
+    yield from next(batches)
+    ground = mi.ground
+    for c, kernels in batches:
+        for k in kernels:
+            yield Implication(ElementSet(ground, k), c)
 
 
 def _d_base_batches_from_mi(mi: SetFamily):
-    # The rows of iter_d_base_from_mi, each nonempty batch as soon as it is
-    # found: the binary part, then each element's rows, which come out of
-    # one dualization together.  The Mi context, the standardness check, the
-    # binary part and every element's up-arrows are computed once per run.
-    # Distinct closures have distinct minimal spanning sets, so no
-    # (D-generator, target) pair comes out twice.
+    # The rows of iter_d_base_from_mi as soon as they are found: first the
+    # binary part's implications, possibly none, then (c, kernels) for each
+    # element c with rows, its D-generators as masks, sorted by closure
+    # mask, all from one dualization.  No object is built per element row,
+    # so the CLI goes from the masks to text through GroundSet.labels_of.
+    # The Mi context, the standardness check, the binary part and every
+    # element's up-arrows are computed once per run.  Distinct closures have
+    # distinct minimal spanning sets, so no (D-generator, target) pair comes
+    # out twice.
     ctx, bp = _mi_context(mi)
     arrows = _up_arrows(mi)
-    if bp.implications:
-        yield bp.implications
+    yield bp.implications
     for c, ups in enumerate(arrows):
         kernels = _d_generator_masks(ctx, bp, ups, c)
         if kernels:
-            yield [Implication(ElementSet(mi.ground, k), c) for k in kernels]
+            yield c, kernels
 
 
 def embed_dualization(binary_ib: ImplicationalBase, b_plus: SetFamily) -> SetFamily:

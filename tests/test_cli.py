@@ -865,6 +865,85 @@ def chain_text(n: int) -> str:
     return "ground: " + " ".join(labels) + "\n" + rules
 
 
+def chain_mi_text(n: int) -> str:
+    """The Mi family of :func:`chain_text`'s chain: {k..n} for k = 2..n and
+    the empty set."""
+    labels = [str(i) for i in range(1, n + 1)]
+    sets = [" ".join(labels[k:]) for k in range(1, n)]
+    return "ground: " + " ".join(labels) + "\n" + "".join(f"{s}\n" for s in sets) + ".\n"
+
+
+# Mi families with multi-character labels (e1, e2, ...) over grounds that
+# end inside, at and past the label table's 8-bit chunks, and the chain.
+_MI_TEXT_INPUTS = {
+    **{
+        f"random{n}-{seed}": (
+            serialize_set_family(random_mi(random.Random(seed), n, 2 * n, 0.85)), []
+        )
+        for n in (1, 7, 8, 9, 17, 30)
+        for seed in (0, 1)
+    },
+    "chain200": (chain_mi_text(200), ["--max-ground", "200"]),
+}
+
+
+class TestMiRouteText:
+    """The Mi route writes each element's rows as text joined straight from
+    its D-generator masks; the library streams build the same rows as
+    objects from the same masks."""
+
+    @pytest.mark.parametrize("name", sorted(_MI_TEXT_INPUTS))
+    def test_stdout_is_the_library_stream_formatted(self, capsys, tmp_path, name):
+        text, flags = _MI_TEXT_INPUTS[name]
+        mi = parse_set_family(text, max_ground=200)
+        path = tmp_path / "in.mi"
+        path.write_text(text)
+        code, out = run_main(capsys, "dbase", str(path), "--from", "mi", *flags)
+        assert code == 0
+        # Lines compared as lists (each keeps its newline, so the bytes are
+        # compared too): a failure names the first differing row rather than
+        # diffing two strings of up to 20,000 rows.
+        want = lines_of(iter_d_base_from_mi(mi)).splitlines(keepends=True)
+        assert out.splitlines(keepends=True) == want
+
+    @pytest.mark.parametrize("text", [EX1_MI, EX8_MI, gap_mi_text(5),
+                                      _MI_TEXT_INPUTS["random17-1"][0]],
+                             ids=["ex1", "ex8", "gap5", "random17"])
+    def test_no_object_per_element_row(self, monkeypatch, capsys, tmp_path, text):
+        # Only the binary part, which binary_part builds as an
+        # ImplicationalBase, makes Implication objects; every element row is
+        # text from its mask.
+        binary = sum(imp.is_binary for imp in iter_d_base_from_mi(parse_set_family(text)))
+        assert binary
+        inits = []
+        kernels = []
+        init = dbase.model.Implication.__init__
+        batches = dbase.cli._d_base_batches_from_mi
+
+        def counting_init(self, *args):
+            inits.append(1)
+            init(self, *args)
+
+        def recording_batches(mi):
+            stream = batches(mi)
+            yield next(stream)
+            for c, found in stream:
+                kernels.extend(found)
+                yield c, found
+
+        monkeypatch.setattr(dbase.model.Implication, "__init__", counting_init)
+        monkeypatch.setattr(dbase.cli, "_d_base_batches_from_mi", recording_batches)
+        path = tmp_path / "in.mi"
+        path.write_text(text)
+        code, out = run_main(capsys, "dbase", str(path), "--from", "mi")
+        assert code == 0 and out.count("\n") > binary
+        assert len(inits) == binary
+        # A standard system has cl(empty) = empty, so no row has an empty
+        # premise, and the "-> c" form of Implication.format, which the
+        # joined text could not produce, never arises on this path.
+        assert kernels and all(kernels)
+
+
 class TestConsoleEntryPoint:
     """``run()``, the entry point of ``dbase`` and ``python -m dbase.cli``,
     in a fresh interpreter."""
