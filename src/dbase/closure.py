@@ -169,10 +169,10 @@ class ClosureContext:
         for a cl^b-closed set of a standard system, its minimal spanning set
         under cl^b.  x is such a member iff it lies in no cl(y) minus y for y
         in ``bits``, and the union of those is read off the byte tables, one
-        entry per byte of ``bits``."""
-        tables = self._below
+        entry per byte of ``bits`` up to its highest set one."""
         below = 0
-        for table, byte in zip(tables, bits.to_bytes(len(tables), "little")):
+        chunks = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+        for table, byte in zip(self._below, chunks):
             below |= table[byte]
         return bits & ~below
 

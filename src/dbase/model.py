@@ -129,7 +129,8 @@ class GroundSet:
                 tables.append(table)
             # Published whole, so no thread ever reads a partial list.
             self._label_tables = tables
-        chunks = bits.to_bytes(len(tables), "little")
+        # Only up to the highest set byte: zip stops at the shorter input.
+        chunks = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
         return " ".join([table[byte] for table, byte in zip(tables, chunks) if byte])
 
     def position(self, label: str) -> int:

@@ -17,8 +17,8 @@ What does not depend on the target is made once per run: Min's steps in the
 element order, and Sigma with the cl^b of each premise.  Each target's graph
 is cut out of these two tables by U_c with bit operations alone.
 Nearly all the work is Min's removability tests, each one :func:`chain`
-stopped at the target, so each graph remembers walk results and failed
-tests (:meth:`_SolutionGraph.min_reduce`).
+stopped at the target, so each graph keeps one table of tested sets
+(:meth:`_SolutionGraph.min_reduce`).
 :func:`build_reduced_base` and :func:`reduced_context` remain as the
 paper-level construction that the tests check the traversal against, and
 :func:`min_reduce` and :func:`neighbors` run the paper's own Min and full
@@ -44,9 +44,9 @@ from .model import ElementSet, Implication, ImplicationalBase, iter_bits
 
 ORDER_POLICIES = ("size-label", "natural")
 
-# Sets Min's memo and failed tests may hold together before both are cleared.
-# They only save work, so clearing changes no result; one target's graph is
-# alive at a time, so this bounds a whole run.
+# Sets Min's table of tested sets may hold before it is cleared.  It only
+# saves work, so clearing changes no result; one target's graph is alive at a
+# time, so this bounds a whole run.
 MEMO_CAP = 1 << 18
 
 
@@ -153,11 +153,7 @@ class ReducedBase(namedtuple("ReducedBase", "target universe base ordering")):
 
 
 def build_reduced_base(
-    ib: ImplicationalBase,
-    c: int,
-    *,
-    order: str = "size-label",
-    ctx: ClosureContext | None = None,
+    ib: ImplicationalBase, c: int, *, order: str = "size-label"
 ) -> ReducedBase:
     """Construct Sigma_c = Sigma_1 union Sigma_2 over U_c.
 
@@ -165,7 +161,7 @@ def build_reduced_base(
     A -> d with A inside U_c but d outside into A -> b for every
     b in U_c minus cl^b(A).
     """
-    ctx = ctx or ClosureContext.from_ib(ib)
+    ctx = ClosureContext.from_ib(ib)
     _require_standard(ctx)
     if not has_d_generators(ctx, c):
         raise NoDGenerators(f"{ib.ground.label(c)!r} has no D-generators")
@@ -184,7 +180,7 @@ def reduced_context(rb: ReducedBase) -> ClosureContext:
 
 
 class _SolutionGraph:
-    """One target's solution graph: Min, its memos and candidate windows.
+    """One target's solution graph: Min, its tested sets and candidate windows.
 
     The graph runs on the input's own context, where a set X inside U_c
     spans when c is in cl(X).  That is the paper's cl_c(X) = U_c on the
@@ -247,8 +243,7 @@ class _SolutionGraph:
 
     By 1 and 3 the windows and Min's extremality tests are those of the
     reduced base, and by 2 the transitions come straight from Sigma.
-    ``memo`` and ``fails`` (see :meth:`min_reduce`) last the target's whole
-    traversal.
+    ``tested`` (see :meth:`min_reduce`) lasts the target's whole traversal.
 
     From the run the graph gets the context and two tables that hold for
     every target: ``steps``, each element's (bit, containers) in the
@@ -260,7 +255,7 @@ class _SolutionGraph:
     """
 
     __slots__ = (
-        "ctx", "cbit", "universe", "steps", "rules", "transitions", "memo", "fails"
+        "ctx", "cbit", "universe", "steps", "rules", "transitions", "tested"
     )
 
     def __init__(
@@ -288,8 +283,7 @@ class _SolutionGraph:
         self.transitions = [
             (ctx.singleton_closure(d), tuple(clbs)) for d, clbs in groups.items()
         ]
-        self.memo: dict[int, int] = {}
-        self.fails: set[int] = set()
+        self.tested: dict[int, int] = {}
 
     def min_reduce(self, fbits: int) -> int:
         """Greedy Min on a cl^b-closed spanning set; returns D-generator bits.
@@ -302,18 +296,18 @@ class _SolutionGraph:
         fails its test stays unremovable (closures only shrink as the set
         does), so each element is tested at most once.
 
-        Every set the walk passes through goes into ``memo`` with the
-        result, and a walk stops at its first memo hit.  This is exact, as
-        the step taken from a set depends on that set alone (dead elements
-        would fail again).  Every key spans (a walk starts at U_c or a
-        window, fact 5, and each step passes a test), so a rest that is a
-        key passes, one in ``fails`` fails, and only the others chain over
-        ``rules`` (fact 6).  Both are cleared once they hold ``MEMO_CAP``
-        sets together.
+        ``tested`` maps each set a walk passed through to its result, and
+        each failed rest to 0 (no result is 0: cl(empty) is empty).  This
+        is exact, as the step taken from a set depends on that set alone
+        (dead elements would fail again), and each walked set spans (a walk
+        starts at U_c or a window, fact 5, and each step passes a test).
+        So a rest with a result ends the walk with it, 0 fails, and only an
+        absent rest chains over ``rules`` (fact 6).  The table is cleared
+        once it holds ``MEMO_CAP`` sets.
         """
-        memo, fails = self.memo, self.fails
-        kernel = memo.get(fbits)
-        if kernel is not None:
+        tested = self.tested
+        kernel = tested.get(fbits)
+        if kernel:
             return kernel
         rules, cbit = self.rules, self.cbit
         cur = fbits
@@ -324,25 +318,22 @@ class _SolutionGraph:
                 if up & cur != bx or dead & bx:
                     continue  # absent, not extreme (may become so) or dead
                 rest = cur ^ bx
-                if rest in memo or (
-                    rest not in fails and chain(rest, rules, cbit) & cbit
-                ):
-                    cur = rest
+                kernel = tested.get(rest)
+                if kernel or (kernel is None and chain(rest, rules, cbit) & cbit):
                     break
-                fails.add(rest)
+                tested[rest] = 0
                 dead |= bx
             else:
                 kernel = self.ctx.minimal_elements(cur)
                 break
-            kernel = memo.get(cur)
-            if kernel is not None:
+            if kernel:
                 break
+            cur = rest
             walk.append(cur)
-        if len(memo) + len(fails) >= MEMO_CAP:
-            memo.clear()
-            fails.clear()
+        if len(tested) >= MEMO_CAP:
+            tested.clear()
         for bits in walk:
-            memo[bits] = kernel
+            tested[bits] = kernel
         return kernel
 
     def windows(self, abits: int) -> set[int]:
@@ -459,7 +450,7 @@ def iter_d_base(
     ground = ib.ground
     for c in range(len(ground)):
         if has_d_generators(ctx, c):
-            # The graph, its memo and its visited set die with the loop.
+            # The graph, its tested sets and its visited set die with the loop.
             for bits in _SolutionGraph(ctx, c, steps, sigma).traverse(max_states):
                 yield Implication(ElementSet(ground, bits), c)
 

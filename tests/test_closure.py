@@ -258,13 +258,19 @@ def contexts_across_byte_boundaries(draw):
     return ClosureContext.from_mi(SetFamily.from_bits(ground, masks))
 
 
-@given(contexts_across_byte_boundaries(), st.lists(st.integers(0, (1 << 30) - 1), max_size=6))
+@given(
+    contexts_across_byte_boundaries(),
+    st.lists(st.integers(0, (1 << 30) - 1), max_size=6),
+    st.integers(0, 4),
+)
 @settings(max_examples=200, deadline=None)
-def test_minimal_elements_is_the_per_bit_definition(ctx, drawn):
+def test_minimal_elements_is_the_per_bit_definition(ctx, drawn, k):
     # x is minimal in ``bits`` iff the only member of ``bits`` whose
-    # singleton closure holds x is x itself.
+    # singleton closure holds x is x itself.  Masks confined to the low k
+    # bytes too, whose bytes stop short of the ground's.
     full = ctx.full_mask
     sets = [0, full, *(m & full for m in drawn)]
+    sets += [m & ((1 << 8 * k) - 1) for m in sets]
     sets += [ctx.close_binary_bits(m) for m in sets]
     for bits in sets:
         want = 0

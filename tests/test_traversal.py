@@ -261,7 +261,7 @@ def test_key_equivalence_property(ib):
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
             continue
-        rb = build_reduced_base(ib, c, ctx=ctx)
+        rb = build_reduced_base(ib, c)
         ctx_c = reduced_context(rb)
         ubits = rb.universe.bits
         for a in iter_bits(ubits):
@@ -300,7 +300,7 @@ def test_chain_test_matches_full_closure(ib):
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
             continue
-        rb = build_reduced_base(ib, c, ctx=ctx)
+        rb = build_reduced_base(ib, c)
         ctx_c = reduced_context(rb)
         graph = _graph(ctx, c, "size-label")
         subs = list(iter_bits(rb.universe.bits))
@@ -328,7 +328,7 @@ def test_neighbors_match_the_graph_windows(ib, order):
     for c in range(len(ground)):
         if not has_d_generators(ctx, c):
             continue
-        rb = build_reduced_base(ib, c, order=order, ctx=ctx)
+        rb = build_reduced_base(ib, c, order=order)
         ctx_c = reduced_context(rb)
         graph = _graph(ctx, c, order)
         for abits in brute.d_generator_masks(c):
@@ -627,9 +627,10 @@ class TestDBase:
 @settings(max_examples=150, deadline=None)
 def test_walk_memo_is_exact_and_windows_span(ib, order):
     # The two facts that let Min memoize whole walks and skip a spanning
-    # test: a walk from any memoized set gives the memoized result, and every
-    # window built from a D-generator of c has c in its closure.  Each
-    # target's graph is the one iter_d_base walks for that target.
+    # test: a walk from any set with a result in the table of tested sets
+    # gives that result, and every window built from a D-generator of c has
+    # c in its closure.  Each target's graph is the one iter_d_base walks
+    # for that target.
     ctx = ClosureContext.from_ib(ib)
     rows = list(iter_d_base(ib, order=order))
     for c in range(len(ib.ground)):
@@ -640,7 +641,9 @@ def test_walk_memo_is_exact_and_windows_span(ib, order):
         assert sorted(gens) == sorted(
             i.premise.bits for i in rows if i.conclusion == c and not i.is_binary
         )
-        for bits, kernel in graph.memo.items():
+        for bits, kernel in graph.tested.items():
+            if not kernel:
+                continue  # a failed test
             fresh = _graph(ctx, c, order)
             assert fresh.min_reduce(bits) == kernel
         for abits in gens:
@@ -651,9 +654,9 @@ def test_walk_memo_is_exact_and_windows_span(ib, order):
 @given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
 @settings(max_examples=150, deadline=None)
 def test_failed_tests_are_exact(ib, order):
-    # After a whole traversal every set in ``fails`` is a cl^b-closed set
-    # inside U_c that does not span, so answering its test from the set is
-    # what a chain would say.
+    # After a whole traversal every set the table of tested sets maps to 0 is
+    # a cl^b-closed set inside U_c that does not span, and every other key
+    # spans, so answering a test from the table is what a chain would say.
     ctx = ClosureContext.from_ib(ib)
     for c in range(len(ib.ground)):
         if not has_d_generators(ctx, c):
@@ -661,7 +664,10 @@ def test_failed_tests_are_exact(ib, order):
         graph = _graph(ctx, c, order)
         for _ in graph.traverse():
             pass
-        for bits in graph.fails:
+        for bits, kernel in graph.tested.items():
+            if kernel:
+                assert ctx.close_bits(bits) >> c & 1
+                continue
             assert ctx.close_binary_bits(bits) == bits
             assert bits & ~graph.universe == 0
             assert not ctx.close_bits(bits) >> c & 1
@@ -704,9 +710,9 @@ class TestMinMemo:
                     capped = []
                     for bits in graph.traverse():
                         capped.append(bits)
-                        # Cleared below the cap, then one walk of at most
-                        # |U| + 1 sets.
-                        assert len(graph.memo) <= 8 + len(ib.ground)
+                        # Below the cap or cleared, then one walk of at
+                        # most |U| + 1 sets.
+                        assert len(graph.tested) <= 8 + len(ib.ground)
                     assert capped == uncapped[c]
             assert got == want
 
@@ -717,10 +723,10 @@ class TestMinMemo:
             peak = [0]
 
             def check(graph, x):
-                held = len(graph.memo) + len(graph.fails)
+                held = len(graph.tested)
                 peak[0] = max(peak[0], held)
-                # Cleared at the cap, then one walk's |U_c| + 1 memo keys and
-                # |U_c| failures.
+                # Cleared at the cap, then one walk's |U_c| + 1 walked sets
+                # and |U_c| failures.
                 u = graph.universe.bit_count()
                 assert held <= 8 + (u + 1) + u
 
@@ -820,10 +826,10 @@ def _watch_chains(m: pytest.MonkeyPatch, check) -> list[int]:
 
 
 def _chains_guarded_by_the_memo(m: pytest.MonkeyPatch) -> list[int]:
-    # Make every chain test fail if it is run on a key of the live graph's
-    # memo, which spans and so needs no test.
+    # Make every chain test fail if it is run on a set the live graph's table
+    # maps to a result: a walked set, which spans and so needs no test.
     def check(graph, x):
-        assert x not in graph.memo, "chained a set the walk memo holds"
+        assert not graph.tested.get(x), "chained a set the walk memo holds"
 
     return _watch_chains(m, check)
 
