@@ -103,7 +103,7 @@ def _cmd_close(args) -> int:
     ctx = ClosureContext(_source(args, args.file))
     aset = ctx.ground.set_of(args.set.split())
     closed = ctx.close_binary(aset) if args.binary else ctx.close(aset)
-    _print(" ".join(closed.labels()))
+    _print(ctx.ground.labels_of(closed.bits) or ".")
     return 0
 
 
@@ -266,14 +266,14 @@ def _cmd_oracle(args) -> int:
             else brute.d_generators(c)
         )
         for es in sorted(sets, key=lambda s: tuple(s)):
-            _print(" ".join(es.labels()) or ".")
+            _print(source.ground.labels_of(es.bits) or ".")
     return 0
 
 
 def _cmd_one_in_three(args) -> int:
     cnf = parse_cnf(_read(args.file))
     for t in one_in_three_assignments(cnf):
-        _print(" ".join(t.labels()) or ".")
+        _print(cnf.variables.labels_of(t.bits) or ".")
     return 0
 
 

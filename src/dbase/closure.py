@@ -4,16 +4,17 @@ A :class:`ClosureContext` wraps one closure system given either by an
 implicational base (closures by :func:`chain`, the one chaining loop) or by
 an intersection generating family of closed sets such as the meet-irreducible
 elements (closures by intersecting supersets, the whole ground when none
-exists).  Singleton closures are cached eagerly, so ``close_binary`` never
-re-chains.  So are the byte tables of ``minimal_elements``, one per 8-bit
-chunk of the ground (see :class:`ClosureContext`): built in ``__init__``,
-their cost falls on the context's construction, never on the first set it
-is asked about.
+exists).  Singleton closures are cached eagerly, and so are per-byte tables
+of their unions (see :class:`ClosureContext`), the one cl^b kernel:
+``close_binary_bits``, ``minimal_elements`` and the B+ closedness test read
+one entry per byte and never re-chain.
 """
 from __future__ import annotations
 
+from operator import or_
+
 from .errors import NotSpanning
-from .model import ElementSet, ImplicationalBase, SetFamily, iter_bits
+from .model import ElementSet, ImplicationalBase, SetFamily, _byte_tables, iter_bits
 
 _IB = "ib"
 _MI = "mi"
@@ -39,16 +40,14 @@ class ClosureContext:
     """Closure operators for one finite closure system.
 
     Immutable after construction; ``close`` and ``close_binary`` are pure and
-    safe for concurrent use.  In IB mode ``rules`` holds a pair (premise
-    bits, cl^b of its conclusions) per premise that is not a singleton, where
-    that leaves cl^b(premise); an empty premise is one such rule and fires at
-    once.  A cl^b-closed set respects every singleton premise, so chaining it
-    over ``rules`` reaches its closure.
-
-    ``_below`` holds one table per 8-bit chunk of the ground (the last one
-    shorter when the ground's size is not a multiple of 8): entry v is the
-    union of cl(y) minus y over the members y of v, each entry the one
-    without its highest bit joined with that bit's strict closure.
+    safe for concurrent use.  ``_below`` holds the ``_byte_tables`` of the
+    strict singleton closures: entry v is the union of cl(y) minus y over
+    the members y of v, so cl^b(bits) is ``bits`` OR-ed with one entry per
+    byte.  In IB mode ``rules`` holds a pair (premise bits, cl^b of its
+    conclusions) per premise that is not a singleton, where that leaves
+    cl^b(premise); an empty premise is one such rule and fires at once.  A
+    cl^b-closed set respects every singleton premise, so chaining it over
+    ``rules`` reaches its closure.  In Mi mode ``rules`` is empty.
     """
 
     __slots__ = (
@@ -75,25 +74,21 @@ class ClosureContext:
                 grouped[pbits] = grouped.get(pbits, 0) | 1 << imp.conclusion
             raw = tuple(grouped.items())
             self._singles = [chain(1 << a, raw, self.full_mask) for a in range(n)]
-            clb = self.close_binary_bits
-            self.rules = tuple(
-                (pbits, clb(concls))
-                for pbits, concls in raw
-                if pbits.bit_count() != 1 and clb(concls) & ~clb(pbits)
-            )
         elif isinstance(source, SetFamily):
             self.mode = _MI
             self._mi_masks = source.masks
             self._singles = [self.close_bits(1 << a) for a in range(n)]
+            raw = ()
         else:
             raise TypeError("source must be an ImplicationalBase or a SetFamily")
         strict = [s & ~(1 << y) for y, s in enumerate(self._singles)]
-        self._below = tables = []
-        for start in range(0, n, 8):
-            table = [0]
-            for mask in strict[start : start + 8]:
-                table += [entry | mask for entry in table]
-            tables.append(table)
+        self._below = _byte_tables(strict, or_, 0)
+        clb = self.close_binary_bits
+        self.rules = tuple(
+            (pbits, clb(concls))
+            for pbits, concls in raw
+            if pbits.bit_count() != 1 and clb(concls) & ~clb(pbits)
+        )
         containers = [0] * n
         for y in range(n):
             for x in iter_bits(self._singles[y]):
@@ -129,11 +124,12 @@ class ClosureContext:
         return chain(self.close_binary_bits(bits), self.rules, self.full_mask)
 
     def close_binary_bits(self, bits: int) -> int:
-        """cl^b of a raw bitmask: union of cached singleton closures."""
-        out = 0
-        singles = self._singles
-        for a in iter_bits(bits):
-            out |= singles[a]
+        """cl^b of a raw bitmask: ``bits`` OR-ed with one ``_below`` entry
+        per byte up to its highest set one."""
+        out = bits
+        chunks = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+        for table, byte in zip(self._below, chunks):
+            out |= table[byte]
         return out
 
     def require_ground(self, aset: ElementSet) -> None:
@@ -168,8 +164,8 @@ class ClosureContext:
         """Members of ``bits`` that no other member's singleton closure holds;
         for a cl^b-closed set of a standard system, its minimal spanning set
         under cl^b.  x is such a member iff it lies in no cl(y) minus y for y
-        in ``bits``, and the union of those is read off the byte tables, one
-        entry per byte of ``bits`` up to its highest set one."""
+        in ``bits``, and the union of those is read off ``_below`` as
+        ``close_binary_bits`` reads it."""
         below = 0
         chunks = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
         for table, byte in zip(self._below, chunks):

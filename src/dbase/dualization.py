@@ -21,8 +21,8 @@ One run of the Mi route builds the Mi context, checks standardness, takes
 the binary part and reads every element's up-arrows off one upper-cover
 table, once; then it makes one dualization per element on that same
 context: its singleton closures are those of cs^b, so its cl^b is the
-closure of the binary part.  B+ is checked closed on each member's
-complement, which for up-arrows is small.  An element's rows come out of
+closure of the binary part.  B+ is checked closed as m == cl^b(m), read
+off the context's per-byte table.  An element's rows come out of
 its one dualization together, as D-generator masks: the CLI turns them into
 text through ``GroundSet.labels_of`` in one join, with no object per row,
 and writes them in one batch; the library's streams build the rows from the
@@ -146,17 +146,11 @@ def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
     return found
 
 
-def _is_binary_closed(ctx: ClosureContext, bits: int) -> bool:
-    # cl^b(m) is the union of the singleton closures of m's elements, so m is
-    # cl^b-closed iff no element y outside m lies in one, that is, iff no
-    # container of y is in m.  A member of B+ misses few elements.
-    return not any(ctx.containers(y) & bits for y in iter_bits(ctx.full_mask & ~bits))
-
-
 def _checked_b_plus(b_plus: SetFamily, ctx: ClosureContext) -> tuple[int, ...]:
     # The masks of B+, checked to be an antichain of cl^b-closed sets over
     # ctx's ground: the one check of dualize_distributive and embed_dualization.
-    return check_antichain_of_closed(b_plus, ctx.ground, lambda m: _is_binary_closed(ctx, m))
+    clb = ctx.close_binary_bits
+    return check_antichain_of_closed(b_plus, ctx.ground, lambda m: clb(m) == m)
 
 
 def dualize_distributive(

@@ -5,8 +5,8 @@ works on indices (int bitmasks), labels appear only at I/O boundaries.  All
 types are immutable by convention: they are ``__slots__`` classes whose
 attributes are set once in ``__init__`` and never reassigned, so instances are
 safe to hash and to share across threads.  Nothing enforces it at run time.
-The one exception is ``GroundSet``'s label tables, a cache filled on first
-use that equality and hashing ignore; a race only builds equal tables twice.
+``_byte_tables`` is the one builder of per-byte lookup tables, ``GroundSet``'s
+labels and ``ClosureContext``'s cl^b, each built whole in the constructor.
 
 Text formats
 ------------
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateGround,
@@ -64,14 +64,25 @@ def _index_order_key(bits: int) -> str:
     return bin(bits)[:1:-1].translate(_SET_BIT_FIRST) if bits else ""
 
 
+def _byte_tables(values: Sequence, join: Callable, empty) -> list[list]:
+    """One table per chunk of 8 ``values``: entry v is ``empty`` joined with
+    the values at v's set bits, lowest first."""
+    tables = []
+    for start in range(0, len(values), 8):
+        table = [empty]
+        for value in values[start : start + 8]:
+            table += [join(entry, value) for entry in table]
+        tables.append(table)
+    return tables
+
+
 class GroundSet:
     """Ordered universe of distinct element labels with dense indexing.
 
-    ``labels_of`` prints a mask's labels from one table per 8-bit chunk of
-    the ground, built on its first call: entry v of a chunk's table is the
-    labels of v's members joined by spaces, lowest first, each entry the one
-    without its highest bit plus that bit's label.  The tables are a cache,
-    not part of the value: equality and hashing read ``names`` alone.
+    ``labels_of`` prints a mask's labels from the ``_byte_tables`` of the
+    labels, built in ``__init__``: entry v of a chunk's table is the labels
+    of v's members joined by spaces, lowest first.  Equality and hashing
+    read ``names`` alone, which the tables are a function of.
     """
 
     __slots__ = ("names", "index", "full_mask", "_label_tables")
@@ -90,7 +101,9 @@ class GroundSet:
         self.names = names
         self.index = index
         self.full_mask = (1 << len(names)) - 1
-        self._label_tables: list[list[str]] | None = None
+        self._label_tables = _byte_tables(
+            names, lambda head, name: f"{head} {name}" if head else name, ""
+        )
 
     def __len__(self) -> int:
         return len(self.names)
@@ -119,16 +132,6 @@ class GroundSet:
         """The labels of the members of ``bits``, lowest first, joined by
         single spaces; the empty string for the empty set."""
         tables = self._label_tables
-        if tables is None:
-            tables = []
-            for start in range(0, len(self.names), 8):
-                table = [""]
-                for name in self.names[start : start + 8]:
-                    spaced = " " + name
-                    table += [head + spaced if head else name for head in table]
-                tables.append(table)
-            # Published whole, so no thread ever reads a partial list.
-            self._label_tables = tables
         # Only up to the highest set byte: zip stops at the shorter input.
         chunks = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
         return " ".join([table[byte] for table, byte in zip(tables, chunks) if byte])

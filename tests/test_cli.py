@@ -79,6 +79,13 @@ class TestClose:
         code, out = run_main(capsys, "closeb", ex2_file, "--set", "2 5")
         assert code == 0 and out.strip() == "2 4 5"
 
+    @pytest.mark.parametrize("command", ["close", "closeb"])
+    def test_empty_closure_prints_the_empty_set_token(self, capsys, tmp_path, command):
+        # As `mi` and the set-family format print it; not an empty line.
+        path = tmp_path / "t.ib"
+        path.write_text("ground: a b c\na b -> c\n")
+        assert run_main(capsys, command, str(path), "--set", "") == (0, ".\n")
+
 
 class TestDBase:
     def test_sorted_stream_equals_canonical_file(self, capsys, ex2_file):
@@ -234,6 +241,23 @@ class TestOtherCommands:
         code, out = run_main(capsys, "dualize", str(ib), str(fam))
         assert code == 0
         assert out.strip().splitlines()[1:] == ["1 2 3", "1 2 4", "1 4 5"]
+
+    @pytest.mark.parametrize(
+        "ib_text, b_plus",
+        [
+            (EX5_IB, "ground: 1 2 3 4 5\n1 2\n1 4\n4 5\n"),
+            ("ground: 1 2 3 4\n1 -> 2\n2 -> 1\n3 -> 4\n", "ground: 1 2 3 4\n1 2\n3 4\n"),
+        ],
+        ids=["ex5", "cyclic"],
+    )
+    def test_oracle_dual_prints_what_dualize_prints(self, capsys, tmp_path, ib_text, b_plus):
+        ib = tmp_path / "base.ib"
+        ib.write_text(ib_text)
+        fam = tmp_path / "bplus.sf"
+        fam.write_text(b_plus)
+        code, want = run_main(capsys, "dualize", str(ib), str(fam))
+        assert code == 0 and len(want.splitlines()) > 1
+        assert run_main(capsys, "oracle", "dual", str(ib), str(fam)) == (0, want)
 
     @pytest.mark.parametrize("command", [["dualize"], ["oracle", "dual"]])
     @pytest.mark.parametrize(

@@ -75,6 +75,10 @@ class TestContextConstructors:
         with pytest.raises(TypeError, match="from_mi needs a SetFamily"):
             ClosureContext.from_mi(ex2_ib)
 
+    def test_refuses_neither_a_base_nor_a_family(self, ex2_ib):
+        with pytest.raises(TypeError, match="an ImplicationalBase or a SetFamily"):
+            ClosureContext(ex2_ib.ground.full())
+
 
 class TestCloseBinary:
     def test_paper_values(self, ex2_ctx):
@@ -266,18 +270,21 @@ def contexts_across_byte_boundaries(draw):
 @settings(max_examples=200, deadline=None)
 def test_minimal_elements_is_the_per_bit_definition(ctx, drawn, k):
     # x is minimal in ``bits`` iff the only member of ``bits`` whose
-    # singleton closure holds x is x itself.  Masks confined to the low k
-    # bytes too, whose bytes stop short of the ground's.
+    # singleton closure holds x is x itself; cl^b(bits) is the union of the
+    # singleton closures of its members.  Masks confined to the low k bytes
+    # too, whose bytes stop short of the ground's.
     full = ctx.full_mask
     sets = [0, full, *(m & full for m in drawn)]
     sets += [m & ((1 << 8 * k) - 1) for m in sets]
     sets += [ctx.close_binary_bits(m) for m in sets]
     for bits in sets:
-        want = 0
+        want = union = 0
         for x in iter_bits(bits):
+            union |= ctx.singleton_closure(x)
             if ctx.containers(x) & bits == 1 << x:
                 want |= 1 << x
         assert ctx.minimal_elements(bits) == want
+        assert ctx.close_binary_bits(bits) == union
 
 
 @given(contexts_across_byte_boundaries())

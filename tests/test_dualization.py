@@ -36,7 +36,6 @@ from dbase import (
 )
 from dbase.cli import main
 from dbase.dualization import (
-    _is_binary_closed,
     _minimal_transversals,
     d_generators_from_mi,
 )
@@ -49,6 +48,7 @@ from dbase.errors import (
     NotClosed,
     NotStandard,
 )
+from dbase.model import iter_bits
 
 from conftest import (
     EX4_DBASE,
@@ -528,9 +528,14 @@ def test_dualize_on_the_mi_context_matches_a_fresh_context_property(mi):
 
 
 def _check_the_complement_closedness_test(ctx: ClosureContext) -> None:
+    # The B+ test, m == cl^b(m), against the per-bit definition: m is
+    # cl^b-closed iff it holds the singleton closure of each of its members.
     # Every mask of the ground, 0 and the full mask included.
     for m in range(ctx.full_mask + 1):
-        assert _is_binary_closed(ctx, m) == (ctx.close_binary_bits(m) == m)
+        union = 0
+        for y in iter_bits(m):
+            union |= ctx.singleton_closure(y)
+        assert (ctx.close_binary_bits(m) == m) == (union == m)
 
 
 class TestComplementClosedness:

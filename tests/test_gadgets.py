@@ -52,6 +52,10 @@ class TestParseCnf:
         with pytest.raises(GroundTooLarge):
             parse_cnf(f"vars: {labels}\nv0 v1 v2\n")
 
+    def test_random_cnf_needs_three_variables(self):
+        with pytest.raises(ValueError, match="at least 3 variables"):
+            random_cnf(random.Random(0), 2, 1)
+
 
 @pytest.mark.parametrize(
     "which, gen",

@@ -210,6 +210,7 @@ class TestRelation:
         ground = GroundSet(["a", "b", "c"])
         rel = Relation(ground, [(2, 0), (0, 1)])
         assert serialize_relation(rel) == "a -> b\nc -> a\n"
+        assert repr(rel) == "Relation(a->b, c->a)"
 
 
 class TestElementSetValidation:
@@ -227,6 +228,11 @@ class TestElementSetValidation:
         ground = GroundSet(["a", "b"])
         with pytest.raises(ValueError, match="conclusion outside the ground set"):
             Implication(ElementSet(ground, 0b01), -1)
+
+    def test_implication_over_another_ground_rejected(self):
+        foreign = Implication(GroundSet(["x", "y"]).set_of(["x"]), 1)
+        with pytest.raises(ValueError, match="implication over a different ground set"):
+            ImplicationalBase(GroundSet(["a", "b"]), [foreign])
 
 
 class _Bits:

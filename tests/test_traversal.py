@@ -148,6 +148,10 @@ class TestBuildReducedBase:
         }
         assert rb.universe.labels() == ("1", "2", "3", "5", "6", "7", "8")
 
+    def test_unknown_order_policy(self, ex9_ib):
+        with pytest.raises(ValueError, match="unknown order policy 'bogus'"):
+            build_reduced_base(ex9_ib, ex9_ib.ground.position("4"), order="bogus")
+
     def test_element_2_expansion(self, ex9_ib):
         rb = build_reduced_base(ex9_ib, ex9_ib.ground.position("2"))
         assert rb.universe.labels() == ("1", "5", "6", "7", "8")
@@ -378,6 +382,14 @@ class TestMinReduce:
         ctx_c = reduced_context(rb)
         with pytest.raises(NotSpanning):
             min_reduce(rb, ctx_c, g.set_of(["5"]))
+
+    def test_not_binary_closed(self, ex9_ib):
+        # {2 6 8} generates U_c, but 2 -> 1 leaves it open under cl_c^b.
+        g = ex9_ib.ground
+        rb = build_reduced_base(ex9_ib, g.position("4"))
+        ctx_c = reduced_context(rb)
+        with pytest.raises(NotSpanning, match="not closed under the reduced binary part"):
+            min_reduce(rb, ctx_c, g.set_of(["2", "6", "8"]))
 
 
 class TestNeighbors:
