@@ -12,10 +12,15 @@ complement of a member of B+, is an up-set, and a closed set is the union of
 the singleton closures of its tops, one element per cl^b-class: so a closed
 set meets an edge exactly when a top does, and it is a minimal one meeting
 every edge exactly when each top has a private edge, one the set meets only
-inside that top's class.  Each level of the search adds one top and keeps
-the branch only while every top keeps a private edge, so each minimal
-transversal comes out once and nothing else does.  No family is stored: the
-explicit stack holds one frame per top, at most |U| of them.
+inside that top's class.  Each level of the search adds one top, and a
+node screens its candidates once, when its frame is built: a candidate
+lying in every private edge of an earlier top would leave that top none,
+so one kill mask, the OR over the tops of the AND of their private edges,
+drops all such candidates at once; a survivor lying in every uncovered
+edge is a leaf, and its transversal is emitted with no frame.  So each
+minimal transversal comes out once and nothing else does.  No family is
+stored: the explicit stack holds one frame per top, at most |U| of them,
+and a leaf gets none.
 
 One run of the Mi route builds the Mi context, checks standardness, takes
 the binary part and reads every element's up-arrows off one upper-cover
@@ -75,14 +80,22 @@ def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
     uncovered, and each earlier top keeps those of its private edges that
     miss y; an element with no ``own`` edge is never a candidate.
 
-    Each level adds one top, drawn from the uncovered edge with the fewest
-    candidates; the branch survives only while the new top, tested first
-    as that costs one mask, and every earlier top keep a private edge.
-    A branch's candidates lose the containers of its top, so no top lies
-    below another, and later siblings lose the top, so no set comes out
-    twice.  Every minimal transversal is reached: its tops form such a
-    chain of branches, as a subset of its tops keeps every private edge.
-    No family is stored: the explicit stack holds one frame per top, so
+    Each node branches on the uncovered edge with the fewest candidates and
+    screens those branches at once, when its frame is built.  A branch y
+    kills an earlier top exactly when y lies in every private edge of that
+    top, so the kill mask is the OR over the tops of the AND of their
+    private edges, taken inside the branches and stopped once it is empty.
+    A surviving branch with no uncovered ``own`` edge is dead; one with
+    such an edge is a leaf when it lies in every uncovered edge, and
+    T | cl^b(y) is emitted at once, with no frame.  The rest are the inner
+    children, pushed one at a time.  Killed, dead and leaf branches leave
+    the node's candidates, as no minimal transversal below the node has
+    them as tops; a child's candidates lose the containers of its top, so
+    no top lies below another, and later siblings lose the top, so no set
+    comes out twice.
+    Every minimal transversal is reached: its tops form such a chain of
+    branches, as a subset of its tops keeps every private edge.  No family
+    and no table is stored: the explicit stack holds one frame per top, so
     its depth is at most the number of tops, and the ground's size is not
     bounded by the recursion limit.
     """
@@ -102,47 +115,64 @@ def _minimal_transversals(ctx: ClosureContext, edges: list[int]) -> list[int]:
             if not edge & singleton_closure(y) & ~containers(y):
                 own[y] |= bit
                 useful |= 1 << y
+    found: list[int] = []
 
     def frame(closed: int, uncovered: int, privates: list[int], cand: int) -> list:
         # A node's frame: its set, uncovered edges, the private edges of its
-        # tops, its candidates, and the branches left to try, the candidates
-        # in the uncovered edge with the fewest of them (each edge's lie in
-        # cand, so cand bounds them all).
+        # tops, its candidates, and its inner children left to push.  The
+        # branches are the candidates in the uncovered edge with the fewest
+        # of them (each edge's lie in cand, so cand bounds them all).
         branches = cand
-        for i in iter_bits(uncovered):
-            fewer = edges[i] & cand
-            if fewer.bit_count() < branches.bit_count():
-                branches = fewer
-                if fewer.bit_count() < 2:
+        fewest = cand.bit_count()
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            fewer = edges[low.bit_length() - 1] & cand
+            count = fewer.bit_count()
+            if count < fewest:
+                branches, fewest = fewer, count
+                if count < 2:
                     break
-        return [closed, uncovered, privates, cand, branches]
+            rest ^= low
+        live = branches
+        for p in privates:
+            killers = live
+            while p:
+                low = p & -p
+                killers &= edges[low.bit_length() - 1]
+                if not killers:
+                    break
+                p ^= low
+            else:
+                live &= ~killers
+                if not live:
+                    break
+        inner = 0
+        for y in iter_bits(live):
+            if own[y] & uncovered:
+                if uncovered & ~hit[y]:
+                    inner |= 1 << y
+                else:
+                    found.append(closed | singleton_closure(y))
+        return [closed, uncovered, privates, cand & ~(branches ^ inner), inner]
 
-    found: list[int] = []
     stack = [frame(0, (1 << len(edges)) - 1, [], useful)]
     while stack:
         node = stack[-1]
-        closed, uncovered, privates, cand, branches = node
-        if not branches:
+        closed, uncovered, privates, cand, inner = node
+        if not inner:
             stack.pop()
             continue
-        low = branches & -branches
+        low = inner & -inner
         node[3] = cand ^ low
-        node[4] = branches ^ low
+        node[4] = inner ^ low
         y = low.bit_length() - 1
-        mine = own[y] & uncovered
-        if not mine:
-            continue
         covers = hit[y]
         kept = [p & ~covers for p in privates]
-        if not all(kept):
-            continue
-        kept.append(mine)
-        closed |= singleton_closure(y)
-        uncovered &= ~covers
-        if uncovered:
-            stack.append(frame(closed, uncovered, kept, cand & ~containers(y)))
-        else:
-            found.append(closed)
+        kept.append(own[y] & uncovered)
+        stack.append(frame(
+            closed | singleton_closure(y), uncovered & ~covers, kept, cand & ~containers(y)
+        ))
     return found
 
 

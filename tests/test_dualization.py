@@ -63,6 +63,17 @@ from conftest import (
 )
 
 
+def with_forced_cycle(rng, ib):
+    """``ib`` plus a cycle through 2 to 4 of its elements, so that one
+    cl^b-class holds them all."""
+    n = len(ib.ground)
+    cycle = rng.sample(range(n), rng.randint(2, min(n, 4)))
+    pairs = [(1 << a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return ImplicationalBase.build(ib.ground, pairs + [
+        (imp.premise.bits, imp.conclusion) for imp in ib
+    ])
+
+
 def family(ground_names, *sets):
     text = "ground: " + " ".join(ground_names) + "\n"
     text += "\n".join(" ".join(s) if s else "." for s in sets) + "\n"
@@ -142,11 +153,7 @@ class TestDualizeDistributive:
             n = rng.randint(1, 12)
             ib = random_binary_ib(rng, n, rng.randint(0, 14)) if n > 1 else parse_ib("ground: 1\n")
             if draw % 3 == 0 and n > 2:
-                cycle = rng.sample(range(n), rng.randint(2, min(n, 4)))
-                pairs = [(1 << a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
-                ib = ImplicationalBase.build(ib.ground, pairs + [
-                    (imp.premise.bits, imp.conclusion) for imp in ib
-                ])
+                ib = with_forced_cycle(rng, ib)
             ctx = ClosureContext.from_ib(ib)
             cyclic += ctx.representatives != ctx.full_mask
             closed = sorted({ctx.close_bits(rng.randrange(1 << n)) for _ in range(12)})
@@ -157,6 +164,55 @@ class TestDualizeDistributive:
             want = brute_dual(ib, SetFamily.from_bits(ib.ground, maximal))
             assert sorted(got) == sorted(want.bit_list())
         assert cyclic >= 20
+
+    def test_search_matches_brute_dual_on_many_edges(self):
+        # The raw search against the oracle on 8 to 12 elements and up to 30
+        # edges, each the complement of a closed set of half the ground or
+        # more, so tops hold several private edges and the kill mask ANDs
+        # long ones; every third base gets a forced cycle.
+        rng = random.Random(33)
+        most = 0
+        for draw in range(40):
+            n = rng.randint(8, 12)
+            ib = random_binary_ib(rng, n, rng.randint(0, n))
+            if draw % 3 == 0:
+                ib = with_forced_cycle(rng, ib)
+            ctx = ClosureContext.from_ib(ib)
+            closed = sorted({
+                ctx.close_bits(sum(1 << i for i in rng.sample(range(n), n // 2)))
+                for _ in range(60)
+            })
+            picks = rng.sample(closed, min(len(closed), 30))
+            maximal = [m for m in picks if not any(m != k and m & ~k == 0 for k in picks)]
+            most = max(most, len(maximal))
+            got = _minimal_transversals(ctx, [ctx.full_mask & ~m for m in maximal])
+            assert len(got) == len(set(got))
+            want = brute_dual(ib, SetFamily.from_bits(ib.ground, maximal))
+            assert sorted(got) == sorted(want.bit_list())
+        assert most >= 25
+
+    def test_one_wide_edge_gives_its_singletons_off_the_root(self):
+        # No implications and B+ = {empty set}: the one edge is the whole
+        # ground of 1,000 elements, so every element is a leaf of the root,
+        # and the singletons come out of its one screening in index order.
+        n = 1000
+        ground = GroundSet([f"e{i}" for i in range(n)])
+        ib = ImplicationalBase.build(ground, [])
+        singletons = [1 << i for i in range(n)]
+        assert _minimal_transversals(ClosureContext.from_ib(ib), [ground.full_mask]) == singletons
+        got = dualize_distributive(ib, SetFamily.from_bits(ground, [0]))
+        assert got.bit_list() == singletons
+
+    def test_candidate_covering_a_tops_only_private_edge_is_screened_out(self):
+        # Edges 12, 23 and 34, no implications.  The root branches on 12;
+        # below the top 1, whose one private edge is 12, the branches are
+        # 2 and 3 of edge 23, and 2 lies in 12, so it would leave 1 none.
+        # The kill mask drops it; unscreened, 123 and 124 would come out.
+        ib = parse_ib("ground: 1 2 3 4\n")
+        ctx = ClosureContext.from_ib(ib)
+        edges = [ib.ground.set_of(s).bits for s in ("12", "23", "34")]
+        want = [ib.ground.set_of(s).bits for s in ("13", "23", "24")]
+        assert sorted(_minimal_transversals(ctx, edges)) == sorted(want)
 
     def test_cyclic_base_dualizes_once(self):
         # 1 and 2 form one cl^b-class; 124 is the one closed set outside
