@@ -5,10 +5,12 @@ of the reduced base (U_c, Sigma_c).  The solution graph on them is traversed
 breadth-first, with transitions obtained by substituting a premise of Sigma_c
 into the binary closure of the current generator and re-minimizing greedily
 (the Min procedure); a transition whose conclusion's cl^b misses the
-generator's is skipped, which loses no D-generator.  The targets go one at a
-time in ground order, each with its own graph, BFS from Min(U_c) and visited
-set.  That yields every implication exactly once with polynomial delay.  The
-visited set may grow exponentially; ``max_states`` caps it.
+generator's is skipped, and so is a window that holds the cl^b of the
+generator or of a result of the same step, which loses no D-generator.  The
+targets go one at a time in ground order, each with its own graph, BFS from
+Min(U_c) and visited set.  That yields every implication exactly once with
+polynomial delay.  The visited set may grow exponentially; ``max_states``
+caps it.
 
 The traversal never materializes Sigma_c: every closure runs in the one
 context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
@@ -240,6 +242,11 @@ class _SolutionGraph:
        cl^b-closed T | cl^b(d) holds cl^b(A) for some A in G, so that cut is
        not empty, and the window lies in T.  It spans (5), so its Min is in
        G with cl^b inside T: a contradiction.
+    8. A window holding cl^b(V) for some V in G may skip Min too, as the
+       window in 7 lies in T, which holds no such cl^b(V).  ``traverse``
+       checks only the sets known within one expansion, cl^b(A) and the
+       cl^b of its results so far, at most one more than the windows; a
+       check against all of G would grow with the generators found.
 
     By 1 and 3 the windows and Min's extremality tests are those of the
     reduced base, and by 2 the transitions come straight from Sigma.
@@ -362,9 +369,12 @@ class _SolutionGraph:
 
     def traverse(self, max_states: int | None = None) -> Iterator[int]:
         """Breadth-first search from Min(U_c), yielding each D-generator of
-        the target once; by fact 7 it reaches all of genD(c).  Admitting a
-        state past ``max_states`` visited ones raises
-        :class:`StateLimitExceeded`."""
+        the target once; by facts 7 and 8 it reaches all of genD(c).
+        Expanding A, a window that holds cl^b(A) or the cl^b of an earlier
+        result of the same expansion goes to no Min call, so each call made
+        finds a result new to the expansion.  Admitting a state past
+        ``max_states`` visited ones raises :class:`StateLimitExceeded`."""
+        clb = self.ctx.close_binary_bits
         visited: set[int] = set()
         queue: deque[int] = deque()
         fresh: Iterable[int] = (self.min_reduce(self.universe),)
@@ -380,7 +390,16 @@ class _SolutionGraph:
                 return
             bits = queue.popleft()
             yield bits
-            fresh = {self.min_reduce(w) for w in self.windows(bits)}
+            fresh = set()
+            known = [clb(bits)]
+            for w in self.windows(bits):
+                for k in known:
+                    if k & w == k:
+                        break
+                else:
+                    kernel = self.min_reduce(w)
+                    fresh.add(kernel)
+                    known.append(clb(kernel))
 
 
 def min_reduce(rb: ReducedBase, ctx_c: ClosureContext, fset: ElementSet) -> ElementSet:

@@ -155,15 +155,15 @@ PINNED_STDOUT = [
     ("ex9", ["--order", "size-label"],
      "e6d991984405f9c1c6c858bf14c2ab5b3e5833df6163dfda1c4efdf38fd3ccc2"),
     ("ex9", ["--order", "natural"],
-     "d8fb84e4f702bc530c8a5041c7484a0d3f5e06e9460336cd77020190a29d7052"),
+     "1d2bb9ce5be073c8a2de374a88e64857f8b5de46dba0e450f599be0714095014"),
     ("lb", ["--order", "size-label"],
-     "60cc108ce5d49b1de97622dd694c54903292285865388aeb856e1143f36b714b"),
+     "78bf8d88783174c844109b061d61837f7523d838a74150263f7ccd1eefc85235"),
     ("lb", ["--order", "natural"],
-     "60cc108ce5d49b1de97622dd694c54903292285865388aeb856e1143f36b714b"),
+     "78bf8d88783174c844109b061d61837f7523d838a74150263f7ccd1eefc85235"),
     ("acg", ["--order", "size-label"],
-     "5ce78745acea51faf804235a7da408372d7e6bf30495957534aef074dc431ce8"),
+     "14e51addafce9977dd028f68240ebd70a5ce39eecf0bc5357427d29c8594b007"),
     ("acg", ["--order", "natural"],
-     "5ce78745acea51faf804235a7da408372d7e6bf30495957534aef074dc431ce8"),
+     "14e51addafce9977dd028f68240ebd70a5ce39eecf0bc5357427d29c8594b007"),
     ("ex1-mi", ["--from", "mi"],
      "3cbcd5e4abf2e92dc8ab4ab830a69ebeb49c14a2fdaaea4791b8588d3ef1b156"),
 ]

@@ -963,6 +963,131 @@ def test_graph_reaches_every_d_generator_from_each_on_gadgets(seed, order):
         _reaches_every_d_generator_from_each(gen(cnf)[0], order)
 
 
+def _record_min_calls(m: pytest.MonkeyPatch) -> list[tuple[int | None, int, int]]:
+    # Record every Min call as (node being expanded, set reduced, result);
+    # the node is None until the first windows() call, i.e. for Min(U_c).
+    calls: list[tuple[int | None, int, int]] = []
+    node: list[int | None] = [None]
+    windows, min_fn = _SolutionGraph.windows, _SolutionGraph.min_reduce
+
+    def watched_windows(self, abits):
+        node[0] = abits
+        return windows(self, abits)
+
+    def watched_min(self, fbits):
+        kernel = min_fn(self, fbits)
+        calls.append((node[0], fbits, kernel))
+        return kernel
+
+    m.setattr(_SolutionGraph, "windows", watched_windows)
+    m.setattr(_SolutionGraph, "min_reduce", watched_min)
+    return calls
+
+
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
+@example(_STRICT_RULE_MISSES, "size-label")
+@settings(max_examples=150, deadline=None)
+def test_skipped_windows_lose_no_d_generator(ib, order):
+    # Fact 8: the traversal finds exactly genD(c), and while it expands A no
+    # Min call gets a window holding cl^b(A) or cl^b of an earlier result of
+    # the same expansion.
+    ctx = ClosureContext.from_ib(ib)
+    clb = ctx.close_binary_bits
+    brute = BruteForce(ib)
+    for c in range(len(ib.ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        graph = _graph(ctx, c, order)
+        with pytest.MonkeyPatch.context() as m:
+            calls = _record_min_calls(m)
+            gens = list(graph.traverse())
+        assert sorted(gens) == sorted(brute.d_generator_masks(c))
+        node, known = None, []
+        for abits, window, kernel in calls:
+            if abits is None:
+                continue  # Min(U_c)
+            if abits != node:
+                node, known = abits, [clb(abits)]
+            assert all(k & window != k for k in known)
+            known.append(clb(kernel))
+
+
+def test_min_runs_on_fewer_windows_than_it_is_given(monkeypatch):
+    # Here Min runs on 904 of the 5,340 windows; before fact 8 it ran on all.
+    ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+    want = [i.format() for i in iter_d_base(ib)]
+    given = [0]
+    windows = _SolutionGraph.windows
+
+    def counting_windows(self, abits):
+        out = windows(self, abits)
+        given[0] += len(out)
+        return out
+
+    monkeypatch.setattr(_SolutionGraph, "windows", counting_windows)
+    calls = _record_min_calls(monkeypatch)
+    assert [i.format() for i in iter_d_base(ib)] == want
+    on_windows = sum(node is not None for node, _, _ in calls)
+    assert 0 < 4 * on_windows < given[0]
+
+
+def _assert_polynomial_delay(ib, order):
+    # Between two rows the IB route expands one node of the earlier row's
+    # target c, at most P_c windows with at most |U_c| chain tests each, and
+    # on a change of target runs Min(U_c'), at most |U| more; the same holds
+    # after the last row.  P_c counts the (transition, premise closure)
+    # pairs of c's graph.
+    ctx = ClosureContext.from_ib(ib)
+    n = len(ib.ground)
+    bound = {None: n}
+    for c in range(n):
+        if has_d_generators(ctx, c):
+            graph = _graph(ctx, c, order)
+            p_c = sum(len(clbs) for _, clbs in graph.transitions)
+            bound[c] = graph.universe.bit_count() * p_c + n
+    chains = [0]
+    chain_fn = dbase.traversal.chain
+
+    def counting_chain(*args):
+        chains[0] += 1
+        return chain_fn(*args)
+
+    previous = None
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dbase.traversal, "chain", counting_chain)
+        for imp in iter_d_base(ib, order=order):
+            assert chains[0] <= bound[previous]
+            previous = None if imp.is_binary else imp.conclusion
+            chains[0] = 0
+    assert chains[0] <= bound[previous]
+
+
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
+@settings(max_examples=100, deadline=None)
+def test_chain_tests_between_rows_are_polynomial(ib, order):
+    _assert_polynomial_delay(ib, order)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("order", ["size-label", "natural"])
+def test_chain_tests_between_rows_are_polynomial_on_gadgets(seed, order):
+    cnf = random_cnf(random.Random(seed), 6, 5)
+    for gen in (gen_lower_bounded_instance, gen_acyclic_instance):
+        _assert_polynomial_delay(gen(cnf)[0], order)
+
+
+def test_state_cap_is_the_largest_genD_on_lb_gadget():
+    # Each target's visited set is its genD(c), so the cap passes at the
+    # largest one and trips one below it.
+    ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+    rows = list(iter_d_base(ib))
+    k = max(Counter(i.conclusion for i in rows if not i.is_binary).values())
+    assert k == 61
+    assert list(iter_d_base(ib, max_states=k)) == rows
+    with pytest.raises(StateLimitExceeded):
+        list(iter_d_base(ib, max_states=k - 1))
+
+
 class TestRoundTrip:
     # A D-base is an IB of the same closure system, so the IB route run on
     # it must give back exactly its rows, each once.
