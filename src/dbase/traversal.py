@@ -7,10 +7,11 @@ into the binary closure of the current generator and re-minimizing greedily
 (the Min procedure); a transition whose conclusion's cl^b misses the
 generator's is skipped, and so is a window that holds the cl^b of the
 generator or of a result of the same step, which loses no D-generator.  The
-targets go one at a time in ground order, each with its own graph, BFS from
-Min(U_c) and visited set.  That yields every implication exactly once with
-polynomial delay.  The visited set may grow exponentially; ``max_states``
-caps it.
+targets go one at a time in ground order, each with its own graph, visited
+set and BFS from Min(cl^b(P)), P the premise of an exit rule.  Halfway
+through a node's step the next row goes out.  That yields every implication
+exactly once with polynomial delay.  The visited set may grow exponentially;
+``max_states`` caps it.
 
 The traversal never materializes Sigma_c: every closure runs in the one
 context of the input, where "X generates U_c" reads "c in cl(X)" (proof in
@@ -31,7 +32,7 @@ its Min, N(A) and closures of Sigma_c are its own.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .closure import ClosureContext, binary_part, chain, is_standard
 from .errors import (
@@ -221,16 +222,16 @@ class _SolutionGraph:
        c.  If B -> d is an expansion of a source B -> d' with d' outside
        U_c, then d' lies in cl(W), and so does c, which is in cl(d').  So
        windows go to Min untested.
-    6. Min tests only cl^b-closed X inside U_c (windows and U_c are, and
-       dropping an extreme element keeps a set so).  Such an X respects
-       every one-element premise, and standardness rules out an empty
-       premise (an empty -> d leaves cl(d) minus d unclosed), so chaining
-       X over the context's rules, each firing a whole cl^b of conclusions,
-       reaches cl(X).  ``rules`` keeps those with premise inside U_c: the
-       others cannot fire while the chain stays in U_c, and a firing that
-       leaves U_c adds some cl(d) with d outside U_c, which holds c.  So the
-       chain reaches c iff c in cl(X), in any rule order: exit rules, whose
-       mask holds c, go first.
+    6. Min tests only cl^b-closed X inside U_c (windows and cl^b(P) of 9
+       are, and dropping an extreme element keeps a set so).  Such an X
+       respects every one-element premise, and standardness rules out an
+       empty premise (an empty -> d leaves cl(d) minus d unclosed), so
+       chaining X over the context's rules, each firing a whole cl^b of
+       conclusions, reaches cl(X).  ``rules`` keeps those with premise
+       inside U_c: the others cannot fire while the chain stays in U_c, and
+       a firing that leaves U_c adds some cl(d) with d outside U_c, which
+       holds c.  So the chain reaches c iff c in cl(X), in any rule order:
+       exit rules, whose mask holds c, go first.
     7. A transition B -> d whose cut cl^b(A) & cl^b(d) is empty may be
        dropped: BFS from any seed still reaches every D-generator.  Let G
        be the visited set at the end, closed under the kept transitions,
@@ -247,6 +248,22 @@ class _SolutionGraph:
        checks only the sets known within one expansion, cl^b(A) and the
        cl^b of its results so far, at most one more than the windows; a
        check against all of G would grow with the generators found.
+    9. An exit rule exists iff c in cl(U_c), and its premise P seeds the
+       BFS.  If c is in cl(U_c), chaining U_c (cl^b-closed by 1) over
+       ``rules`` reaches c (6); its first firing that leaves U_c is an exit
+       rule.  Conversely an exit rule puts c in cl(P), inside cl(U_c).
+       Then cl^b(P) lies in U_c (1) and spans, so Min(cl^b(P)) is a
+       D-generator, and by 7 the BFS from it reaches all of genD(c).
+
+    Delay.  Expanding a node screens at most P_c windows, P_c the
+    (transition, premise closure) pairs, each Min call at most |U_c| chain
+    tests.  Once half of them are screened, the head of the queue goes out
+    if another node waits behind it, and not again when popped.  So
+    between two rows the route screens at most the second half of one
+    node's windows and all of the next node's, ceil(3 P_c / 2) Min calls;
+    a target's last row never goes out early, and after it come its own
+    expansion and the next target's seed Min, at most |cl^b(P)| chain
+    tests.
 
     By 1 and 3 the windows and Min's extremality tests are those of the
     reduced base, and by 2 the transitions come straight from Sigma.
@@ -307,7 +324,8 @@ class _SolutionGraph:
         each failed rest to 0 (no result is 0: cl(empty) is empty).  This
         is exact, as the step taken from a set depends on that set alone
         (dead elements would fail again), and each walked set spans (a walk
-        starts at U_c or a window, fact 5, and each step passes a test).
+        starts at cl^b(P), fact 9, or a window, fact 5, and each step
+        passes a test).
         So a rest with a result ends the walk with it, 0 fails, and only an
         absent rest chains over ``rules`` (fact 6).  The table is cleared
         once it holds ``MEMO_CAP`` sets.
@@ -368,38 +386,52 @@ class _SolutionGraph:
         return out
 
     def traverse(self, max_states: int | None = None) -> Iterator[int]:
-        """Breadth-first search from Min(U_c), yielding each D-generator of
-        the target once; by facts 7 and 8 it reaches all of genD(c).
-        Expanding A, a window that holds cl^b(A) or the cl^b of an earlier
-        result of the same expansion goes to no Min call, so each call made
-        finds a result new to the expansion.  Admitting a state past
-        ``max_states`` visited ones raises :class:`StateLimitExceeded`."""
+        """Breadth-first search from Min(cl^b(P)), P the premise of the first
+        exit rule (fact 9), yielding each D-generator of the target once; by
+        facts 7 and 8 it reaches all of genD(c).  A result joins the queue
+        when Min first returns it.  Expanding A, a window that holds cl^b(A)
+        or the cl^b of an earlier result of the same expansion goes to no
+        Min call, so each call made finds a result new to the expansion.
+        Once half of A's windows are screened, the head of the queue goes
+        out ahead if another node waits behind it; the rows keep BFS order.
+        Admitting a state past ``max_states`` visited ones raises
+        :class:`StateLimitExceeded`."""
         clb = self.ctx.close_binary_bits
         visited: set[int] = set()
         queue: deque[int] = deque()
-        fresh: Iterable[int] = (self.min_reduce(self.universe),)
-        while True:
-            for bits in fresh:
-                if bits in visited:
-                    continue
-                if max_states is not None and len(visited) >= max_states:
-                    raise StateLimitExceeded(f"visited-set cap {max_states} reached")
-                visited.add(bits)
-                queue.append(bits)
-            if not queue:
-                return
+
+        def admit(bits: int) -> None:
+            if max_states is not None and len(visited) >= max_states:
+                label = self.ctx.ground.label(self.cbit.bit_length() - 1)
+                raise StateLimitExceeded(
+                    f"visited-set cap {max_states} reached at target {label!r}"
+                )
+            visited.add(bits)
+            queue.append(bits)
+
+        admit(self.min_reduce(clb(self.rules[0][0])))
+        ahead = False
+        while queue:
             bits = queue.popleft()
-            yield bits
-            fresh = set()
+            if ahead:
+                ahead = False
+            else:
+                yield bits
             known = [clb(bits)]
-            for w in self.windows(bits):
+            windows = self.windows(bits)
+            half = len(windows) >> 1
+            for i, w in enumerate(windows):
+                if i == half and len(queue) > 1:
+                    ahead = True
+                    yield queue[0]
                 for k in known:
                     if k & w == k:
                         break
                 else:
                     kernel = self.min_reduce(w)
-                    fresh.add(kernel)
                     known.append(clb(kernel))
+                    if kernel not in visited:
+                        admit(kernel)
 
 
 def min_reduce(rb: ReducedBase, ctx_c: ClosureContext, fset: ElementSet) -> ElementSet:

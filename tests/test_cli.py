@@ -153,17 +153,17 @@ _PINNED_INPUTS = {
 # SHA-256 of the exact ``dbase dbase`` stdout, rows in emitted order.
 PINNED_STDOUT = [
     ("ex9", ["--order", "size-label"],
-     "e6d991984405f9c1c6c858bf14c2ab5b3e5833df6163dfda1c4efdf38fd3ccc2"),
+     "71397b1535efa0a25946619889bbdc4f0ab13d2c5f9ad647d9ae52bf1ab1e4b2"),
     ("ex9", ["--order", "natural"],
-     "1d2bb9ce5be073c8a2de374a88e64857f8b5de46dba0e450f599be0714095014"),
+     "150e261aa404a51184274f8ae5dfc16f6091924250f058f8f6d58f63e8ff515d"),
     ("lb", ["--order", "size-label"],
-     "78bf8d88783174c844109b061d61837f7523d838a74150263f7ccd1eefc85235"),
+     "db4c87ca5fc7c00a0ca100ecf16a70acadee3a274dede30f82d9fc4cfe81eec2"),
     ("lb", ["--order", "natural"],
-     "78bf8d88783174c844109b061d61837f7523d838a74150263f7ccd1eefc85235"),
+     "db4c87ca5fc7c00a0ca100ecf16a70acadee3a274dede30f82d9fc4cfe81eec2"),
     ("acg", ["--order", "size-label"],
-     "14e51addafce9977dd028f68240ebd70a5ce39eecf0bc5357427d29c8594b007"),
+     "9d0889c20e902a7a9b32d4375b705503ee8108d9534ada3054a9c6c4b2591327"),
     ("acg", ["--order", "natural"],
-     "14e51addafce9977dd028f68240ebd70a5ce39eecf0bc5357427d29c8594b007"),
+     "9d0889c20e902a7a9b32d4375b705503ee8108d9534ada3054a9c6c4b2591327"),
     ("ex1-mi", ["--from", "mi"],
      "3cbcd5e4abf2e92dc8ab4ab830a69ebeb49c14a2fdaaea4791b8588d3ef1b156"),
 ]

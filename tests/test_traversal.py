@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter, deque
 
 import pytest
@@ -552,7 +553,7 @@ class TestDBase:
 
     def test_state_limit_counts_start_states(self):
         ib = parse_ib("ground: 1 2 3\n1 2 -> 3\n")
-        with pytest.raises(StateLimitExceeded):
+        with pytest.raises(StateLimitExceeded, match="cap 0 reached at target '3'"):
             list(iter_d_base(ib, max_states=0))
         assert [i.format() for i in iter_d_base(ib, max_states=1)] == ["1 2 -> 3"]
 
@@ -965,7 +966,7 @@ def test_graph_reaches_every_d_generator_from_each_on_gadgets(seed, order):
 
 def _record_min_calls(m: pytest.MonkeyPatch) -> list[tuple[int | None, int, int]]:
     # Record every Min call as (node being expanded, set reduced, result);
-    # the node is None until the first windows() call, i.e. for Min(U_c).
+    # the node is None until the first windows() call, i.e. for the seed.
     calls: list[tuple[int | None, int, int]] = []
     node: list[int | None] = [None]
     windows, min_fn = _SolutionGraph.windows, _SolutionGraph.min_reduce
@@ -1005,7 +1006,7 @@ def test_skipped_windows_lose_no_d_generator(ib, order):
         node, known = None, []
         for abits, window, kernel in calls:
             if abits is None:
-                continue  # Min(U_c)
+                continue  # the seed
             if abits != node:
                 node, known = abits, [clb(abits)]
             assert all(k & window != k for k in known)
@@ -1031,12 +1032,123 @@ def test_min_runs_on_fewer_windows_than_it_is_given(monkeypatch):
     assert 0 < 4 * on_windows < given[0]
 
 
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
+@settings(max_examples=150, deadline=None)
+def test_seed_is_min_of_the_first_exit_premise(ib, order):
+    # Fact 9: c has D-generators iff its graph's first rule is an exit rule,
+    # and Min of that premise's cl^b is one.
+    ctx = ClosureContext.from_ib(ib)
+    for c in range(len(ib.ground)):
+        graph = _graph(ctx, c, order)
+        exits = bool(graph.rules) and graph.rules[0][1] >> c & 1 == 1
+        assert exits == has_d_generators(ctx, c)
+        if exits:
+            seed = graph.min_reduce(ctx.close_binary_bits(graph.rules[0][0]))
+            assert is_d_generator(ctx, ElementSet(ib.ground, seed), c)
+
+
+def _plain_bfs(graph: _SolutionGraph) -> list[int]:
+    # The traversal with no row sent ahead: BFS from Min(cl^b(P)), P the
+    # first exit rule's premise, each window screened against the sets known
+    # in its expansion, each new result queued as Min returns it.
+    clb = graph.ctx.close_binary_bits
+    seed = graph.min_reduce(clb(graph.rules[0][0]))
+    rows, queue = [seed], deque([seed])
+    while queue:
+        bits = queue.popleft()
+        known = [clb(bits)]
+        for w in graph.windows(bits):
+            if any(k & w == k for k in known):
+                continue
+            kernel = graph.min_reduce(w)
+            known.append(clb(kernel))
+            if kernel not in rows:
+                rows.append(kernel)
+                queue.append(kernel)
+    return rows
+
+
+class _Windows(list):
+    # A node's windows, marked done once traverse has screened them all.
+    done = False
+
+    def __iter__(self):
+        yield from list.__iter__(self)
+        self.done = True
+
+
+def _assert_rows_keep_bfs_order(ib, order) -> int:
+    # A row sent out halfway through an expansion is the head of the queue,
+    # so sending it early changes only when it goes out; a target's last row
+    # is never sent early.  Returns the number of rows sent early.
+    ctx = ClosureContext.from_ib(ib)
+    windows = _SolutionGraph.windows
+    expanding: list[_Windows | None] = [None]
+
+    def watched_windows(self, abits):
+        expanding[0] = _Windows(windows(self, abits))
+        return expanding[0]
+
+    early = 0
+    for c in range(len(ib.ground)):
+        if not has_d_generators(ctx, c):
+            continue
+        want = _plain_bfs(_graph(ctx, c, order))
+        rows, ahead = [], []
+        expanding[0] = None
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_SolutionGraph, "windows", watched_windows)
+            for bits in _graph(ctx, c, order).traverse():
+                rows.append(bits)
+                ahead.append(expanding[0] is not None and not expanding[0].done)
+        assert rows == want
+        assert not ahead[-1]
+        early += sum(ahead)
+    return early
+
+
+@given(standard_ibs(min_n=1), st.sampled_from(["size-label", "natural"]))
+@settings(max_examples=150, deadline=None)
+def test_rows_keep_bfs_order(ib, order):
+    _assert_rows_keep_bfs_order(ib, order)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("order", ["size-label", "natural"])
+def test_rows_keep_bfs_order_on_gadgets(seed, order):
+    cnf = random_cnf(random.Random(seed), 6, 5)
+    for gen in (gen_lower_bounded_instance, gen_acyclic_instance):
+        assert _assert_rows_keep_bfs_order(gen(cnf)[0], order) > 0
+
+
+def test_worst_chain_gap_on_lb_gadget(monkeypatch):
+    # The deepest target's first node runs 27 Min calls, 203 chain tests;
+    # with its children's rows held until its expansion ends, that was the
+    # worst gap.  The next row now goes out halfway through it.
+    ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
+    gaps = [0]
+    chain_fn = dbase.traversal.chain
+
+    def counting_chain(*args):
+        gaps[-1] += 1
+        return chain_fn(*args)
+
+    monkeypatch.setattr(dbase.traversal, "chain", counting_chain)
+    for _ in iter_d_base(ib):
+        gaps.append(0)
+    assert len(gaps) == 90
+    assert max(gaps) == 142
+
+
 def _assert_polynomial_delay(ib, order):
-    # Between two rows the IB route expands one node of the earlier row's
-    # target c, at most P_c windows with at most |U_c| chain tests each, and
-    # on a change of target runs Min(U_c'), at most |U| more; the same holds
-    # after the last row.  P_c counts the (transition, premise closure)
-    # pairs of c's graph.
+    # Between two rows the IB route screens at most the second half of one
+    # node's windows and all of the next node's, ceil(3 P_c / 2) Min calls
+    # of at most |U_c| chain tests each, and on a change of target runs the
+    # seed Min, at most |U| more; the same holds after the last row.  P_c
+    # counts the (transition, premise closure) pairs of c's graph.  The
+    # bound checked, |U_c| P_c + |U|, is the one from before rows went out
+    # early; the table of tested sets keeps Min well below |U_c| chain
+    # tests a call, and it still holds on these inputs.
     ctx = ClosureContext.from_ib(ib)
     n = len(ib.ground)
     bound = {None: n}
@@ -1081,10 +1193,11 @@ def test_state_cap_is_the_largest_genD_on_lb_gadget():
     # largest one and trips one below it.
     ib, _, _ = gen_lower_bounded_instance(random_cnf(random.Random(1), 9, 7))
     rows = list(iter_d_base(ib))
-    k = max(Counter(i.conclusion for i in rows if not i.is_binary).values())
+    (c, k), = Counter(i.conclusion for i in rows if not i.is_binary).most_common(1)
     assert k == 61
     assert list(iter_d_base(ib, max_states=k)) == rows
-    with pytest.raises(StateLimitExceeded):
+    label = re.escape(repr(ib.ground.label(c)))
+    with pytest.raises(StateLimitExceeded, match=f"cap 60 reached at target {label}"):
         list(iter_d_base(ib, max_states=k - 1))
 
 
